@@ -10,7 +10,10 @@ Three checks, all run by the CI docs job (and by ``tests/test_docs.py``):
    on a loopback socket and drive it through the real client;
 2. every backticked ``path`` / ``path:line`` anchor in
    ``docs/PAPER_MAP.md`` points at an existing file (and, when a line
-   number is given, at an existing line of it);
+   number is given, at an existing line of it); a ``path:line`` anchor
+   followed by a label, as in `src/x.py:12` (`name`), must land on the
+   line that defines or names it (``a.b`` labels look for ``b``), so
+   anchors cannot silently drift when code moves;
 3. the pytest-style ``path::name`` anchors in PAPER_MAP resolve their
    file part the same way.
 
@@ -46,6 +49,9 @@ ANCHOR_RE = re.compile(
     r"`(?P<path>[A-Za-z0-9_.\-/]+\.(?:py|md|toml|yml|yaml|ir|ml|txt))"
     r"(?::(?P<line>\d+))?(?:::[A-Za-z0-9_.:]+)?`"
 )
+
+#: The (`name` label right after an anchor: the symbol its line must name.
+LABEL_RE = re.compile(r"\s*\(`(?P<name>[A-Za-z_][A-Za-z0-9_.]*)`")
 
 
 def _read(relpath: str) -> str:
@@ -90,22 +96,40 @@ def check_anchors(relpath: str) -> list:
     """Validate every `path[:line]` anchor in one document."""
     errors = []
     found = 0
-    for match in ANCHOR_RE.finditer(_read(relpath)):
+    text = _read(relpath)
+    for match in ANCHOR_RE.finditer(text):
         path, line = match.group("path"), match.group("line")
         found += 1
         full = os.path.join(REPO_ROOT, path)
         if not os.path.isfile(full):
-            errors.append(f"{relpath}: anchor `{match.group(0)}` -> "
+            errors.append(f"{relpath}: anchor {match.group(0)} -> "
                           f"no such file {path}")
             continue
-        if line is not None:
-            with io.open(full, encoding="utf-8") as fh:
-                count = sum(1 for _ in fh)
-            if int(line) > count:
-                errors.append(
-                    f"{relpath}: anchor `{match.group(0)}` -> {path} has "
-                    f"only {count} lines"
-                )
+        if line is None:
+            continue
+        with io.open(full, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        if int(line) > len(lines):
+            errors.append(
+                f"{relpath}: anchor {match.group(0)} -> {path} has "
+                f"only {len(lines)} lines"
+            )
+            continue
+        label = LABEL_RE.match(text, match.end())
+        if label is None:
+            continue
+        name = label.group("name").rsplit(".", 1)[-1]
+        if not re.search(rf"\b{re.escape(name)}\b", lines[int(line) - 1]):
+            hits = [
+                str(i + 1) for i, src in enumerate(lines)
+                if re.search(rf"^\s*(?:def|class|async def)\s+{name}\b"
+                             rf"|^\s*{name}\s*[:=]", src)
+            ]
+            errors.append(
+                f"{relpath}: anchor {match.group(0)} ({name}) -> line "
+                f"{line} does not name it (defined at line(s) "
+                f"{', '.join(hits) or 'none'})"
+            )
     if found == 0:
         errors.append(f"{relpath}: no path anchors found (regex drift?)")
     return errors

@@ -9,19 +9,17 @@ trivially incorporated".  This module provides both sources:
   probability evenly except that loop back edges receive
   ``LOOP_BACK_PROB``, giving the conventional expected trip count of 10;
   block frequencies are then the exact expected visit counts of the
-  resulting Markov chain, solved as a sparse-ish linear system.
+  resulting Markov chain, solved by sparse Gaussian elimination.
 * :func:`frequencies_from_profile` -- exact frequencies from simulator
   :class:`~repro.machine.simulator.Profile` counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from typing import Dict, List, Tuple
 
-import numpy
-
-from repro.analysis.dominators import compute_dominators
 from repro.analysis.loops import build_loop_forest
 from repro.ir.function import Function
 
@@ -106,28 +104,67 @@ def estimate_frequencies(fn: Function) -> FrequencyInfo:
     """
     labels = fn.rpo()
     index = {label: i for i, label in enumerate(labels)}
-    n = len(labels)
     probs = _branch_probabilities(fn)
 
-    # f = e + P^T f  =>  (I - P^T) f = e
-    matrix = numpy.eye(n)
+    # f = e + P^T f  =>  (I - P^T) f = e.  Row v holds the coefficients of
+    # f_v's predecessors, keyed by RPO position.
+    rows: List[Dict[int, float]] = [{i: 1.0} for i in range(len(labels))]
     for (u, v), p in probs.items():
         if u in index and v in index and u != fn.stop_label:
-            matrix[index[v], index[u]] -= p * (1.0 - _DAMPING)
-    rhs = numpy.zeros(n)
+            row = rows[index[v]]
+            j = index[u]
+            row[j] = row.get(j, 0.0) - p * (1.0 - _DAMPING)
+    rhs = [0.0] * len(labels)
     rhs[index[fn.start_label]] = 1.0
-    try:
-        freq = numpy.linalg.solve(matrix, rhs)
-    except numpy.linalg.LinAlgError:  # pragma: no cover - damped, singularity unlikely
-        freq, *_ = numpy.linalg.lstsq(matrix, rhs, rcond=None)
+    freq = _solve_sparse(rows, rhs)
 
-    block_freq = {label: max(float(freq[index[label]]), 0.0) for label in labels}
+    block_freq = {label: max(freq[index[label]], 0.0) for label in labels}
     edge_freq = {
         (u, v): block_freq.get(u, 0.0) * p
         for (u, v), p in probs.items()
         if u in index
     }
     return FrequencyInfo(block_freq, edge_freq, source="static")
+
+
+def _solve_sparse(rows: List[Dict[int, float]], rhs: List[float]) -> List[float]:
+    """Solve ``A x = rhs`` for sparse rows ``A[i] = {col: coeff}``.
+
+    Row-by-row LU without pivoting: each row is reduced against the
+    finished rows of its lower-triangle columns, smallest column first
+    (a heap, since reduction can fill in new lower columns), leaving an
+    upper-triangular system for back substitution.  No pivoting is needed
+    because the damped ``I - P^T`` is strictly column diagonally dominant
+    (a nonsingular M-matrix).  In RPO only back edges sit above the
+    diagonal, so an acyclic CFG costs one pass and fill-in stays inside
+    loops.  *rows* are consumed.
+    """
+    diag: List[float] = []
+    upper: List[Dict[int, float]] = []
+    b = list(rhs)
+    for i, row in enumerate(rows):
+        heap = sorted(j for j in row if j < i)
+        while heap:
+            j = heappop(heap)
+            factor = row.pop(j) / diag[j]
+            for k, c in upper[j].items():
+                if k in row:
+                    row[k] -= factor * c
+                else:
+                    row[k] = -factor * c
+                    if k < i:
+                        heappush(heap, k)
+            b[i] -= factor * b[j]
+        diag.append(row.pop(i))
+        upper.append(row)
+    n = len(rows)
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for k, c in upper[i].items():
+            acc -= c * x[k]
+        x[i] = acc / diag[i]
+    return x
 
 
 def frequencies_from_profile(fn: Function, profile) -> FrequencyInfo:

@@ -262,12 +262,11 @@ def liveness_from_arena(arena) -> Liveness:
     """Block-level liveness computed over a prepared
     :class:`~repro.perf.arena.FunctionArena` (the flat cold path).
 
-    Equivalent to :func:`compute_liveness` on the arena's function -- the
-    dataflow equations have a unique least fixed point, so the engine
-    choice (scalar worklist vs batched numpy sweep, see
-    ``FunctionArena.compute_liveness``) cannot change the result.  The
-    returned object carries the arena so per-instruction scans skip the
-    interning walk.
+    Equivalent to :func:`compute_liveness` on the arena's function: both
+    solve the same dataflow equations to their unique least fixed point,
+    this one with the arena's bitset worklist over CSR block adjacency
+    (``FunctionArena.compute_liveness``).  The returned object carries
+    the arena so per-instruction scans skip the interning walk.
     """
     if not arena.live_in and arena.instrs:
         arena.compute_liveness()

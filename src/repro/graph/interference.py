@@ -451,35 +451,6 @@ class InterferenceGraph:
             self._rank_arr_version = self._version
         return self._rank_arr
 
-    def csr(self):
-        """The graph as CSR arrays ``(indptr, indices, degrees)``.
-
-        Rows follow node insertion order; ``indices`` hold node *positions*
-        (row numbers, not internal ids) sorted ascending per row.  All
-        three are numpy ``int32`` arrays -- the flat export consumed by
-        benches and array-level consumers without materializing per-node
-        adjacency dicts.
-        """
-        import numpy as np
-
-        pos = {i: p for p, i in enumerate(self._ids.values())}
-        n = len(pos)
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        degrees = np.zeros(n, dtype=np.int32)
-        cols: List[int] = []
-        for p, i in enumerate(self._ids.values()):
-            mask = self._masks[i]
-            row: List[int] = []
-            while mask:
-                low = mask & -mask
-                row.append(pos[low.bit_length() - 1])
-                mask ^= low
-            row.sort()
-            cols.extend(row)
-            degrees[p] = len(row)
-            indptr[p + 1] = len(cols)
-        return indptr, np.asarray(cols, dtype=np.int32), degrees
-
     # ------------------------------------------------------------------
     # string facade
     # ------------------------------------------------------------------

@@ -310,36 +310,3 @@ def test_arena_temp_node_differential_is_exercised():
         )
         productive += calls
     assert productive > 0
-
-
-# ----------------------------------------------------------------------
-# tiny-function fast path: list CSR (worklist) vs numpy CSR (vectorized)
-# ----------------------------------------------------------------------
-
-def test_small_function_list_csr_matches_vectorized(monkeypatch):
-    """Functions below ``VECTOR_LIVENESS_MIN_BLOCKS`` keep plain-list CSR
-    and solve liveness with the scalar worklist; forcing the threshold to
-    1 builds numpy CSR and runs the vectorized sweep.  Same fixed point
-    either way."""
-    import pytest
-
-    from repro.perf import arena as arena_mod
-
-    if arena_mod._np is None:
-        pytest.skip("numpy unavailable")
-    for seed in (0, 7, 23, 91):
-        fn = random_program(seed)
-        assert len(fn.blocks) < arena_mod.VECTOR_LIVENESS_MIN_BLOCKS
-
-        plain = build_arena(fn)
-        assert isinstance(plain.succ_indptr, list)
-        plain.compute_liveness()
-
-        monkeypatch.setattr(arena_mod, "VECTOR_LIVENESS_MIN_BLOCKS", 1)
-        vec = build_arena(fn)
-        assert not isinstance(vec.succ_indptr, list)
-        vec.compute_liveness()
-        monkeypatch.undo()
-
-        assert plain.live_in == vec.live_in
-        assert plain.live_out == vec.live_out

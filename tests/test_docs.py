@@ -7,11 +7,21 @@ ids come from a process-global counter -- a same-process regeneration
 would renumber every tile.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_check_docs():
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", os.path.join(REPO_ROOT, "docs", "check_docs.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_script(*argv):
@@ -46,6 +56,27 @@ def test_documented_code_blocks_execute():
 def test_paper_map_anchors_resolve():
     proc = run_script("docs/check_docs.py", "--only", "anchors")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_labelled_anchor_must_land_on_its_symbol(tmp_path):
+    """A `path:line` (`name`) anchor pointing inside the file but not at
+    the line naming *name* is stale, and the gate says so."""
+    check_docs = load_check_docs()
+    path = "src/repro/analysis/frequency.py"
+    with open(os.path.join(REPO_ROOT, path), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    line = next(
+        i + 1 for i, src in enumerate(lines)
+        if src.startswith("def estimate_frequencies")
+    )
+    doc = tmp_path / "map.md"
+    doc.write_text(f"| `{path}:{line}` (`estimate_frequencies`) |\n")
+    assert check_docs.check_anchors(str(doc)) == []
+    doc.write_text(f"| `{path}:{line - 1}` (`estimate_frequencies`) |\n")
+    errors = check_docs.check_anchors(str(doc))
+    assert len(errors) == 1 and f"line(s) {line}" in errors[0]
+    doc.write_text(f"| `{path}:{line - 1}` unlabelled |\n")
+    assert check_docs.check_anchors(str(doc)) == []
 
 
 def test_walkthrough_is_marked_generated():

@@ -1,16 +1,91 @@
 """Tests for execution-frequency estimation (Prob(b), Prob(e))."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import frequency
 from repro.analysis.frequency import (
     LOOP_BACK_PROB,
     estimate_frequencies,
     frequencies_from_profile,
     loop_depth_weights,
 )
+from repro.ir.builder import FunctionBuilder
 from repro.machine.simulator import simulate
-from repro.workloads.kernels import matmul
+from repro.workloads.generators import random_program
+from repro.workloads.kernels import all_kernel_workloads, matmul
 from repro.workloads.figure1 import figure1
+
+from tests.test_irreducible import irreducible_fn, nested_irreducible_fn
+
+
+def dense_oracle_frequencies(fn):
+    """Reference solve of ``(I - P^T) f = e_start``: the dense matrix of
+    the static branch model, Gaussian elimination with partial pivoting,
+    pure Python.  Slow (cubic), used only to check the sparse solver."""
+    labels = fn.rpo()
+    index = {label: i for i, label in enumerate(labels)}
+    n = len(labels)
+    a = [[float(i == j) for j in range(n)] for i in range(n)]
+    for (u, v), p in frequency._branch_probabilities(fn).items():
+        if u in index and v in index and u != fn.stop_label:
+            a[index[v]][index[u]] -= p * (1.0 - frequency._DAMPING)
+    b = [0.0] * n
+    b[index[fn.start_label]] = 1.0
+    for k in range(n):
+        pivot = max(range(k, n), key=lambda r: abs(a[r][k]))
+        a[k], a[pivot] = a[pivot], a[k]
+        b[k], b[pivot] = b[pivot], b[k]
+        for r in range(k + 1, n):
+            factor = a[r][k] / a[k][k]
+            if factor:
+                for c in range(k, n):
+                    a[r][c] -= factor * a[k][c]
+                b[r] -= factor * b[k]
+    x = [0.0] * n
+    for k in range(n - 1, -1, -1):
+        acc = b[k] - sum(a[k][c] * x[c] for c in range(k + 1, n))
+        x[k] = acc / a[k][k]
+    return {label: max(x[index[label]], 0.0) for label in labels}
+
+
+def assert_matches_oracle(fn):
+    got = estimate_frequencies(fn).block_freq
+    want = dense_oracle_frequencies(fn)
+    assert got.keys() == want.keys()
+    for label, f in want.items():
+        assert abs(got[label] - f) <= 1e-9 * abs(f), (fn.name, label)
+
+
+class TestSparseSolveMatchesDenseOracle:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        max_blocks=st.sampled_from([12, 24, 60]),
+        break_prob=st.sampled_from([0.0, 0.3]),
+    )
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_random_programs(self, seed, max_blocks, break_prob):
+        assert_matches_oracle(
+            random_program(
+                seed, max_blocks=max_blocks, max_depth=4,
+                break_prob=break_prob,
+            )
+        )
+
+    def test_kernel_suite(self):
+        for workload in all_kernel_workloads(6):
+            assert_matches_oracle(workload.fn)
+
+    @pytest.mark.parametrize(
+        "build", [irreducible_fn, nested_irreducible_fn]
+    )
+    def test_irreducible_cfgs(self, build):
+        assert_matches_oracle(build())
 
 
 class TestStaticEstimates:
@@ -25,8 +100,22 @@ class TestStaticEstimates:
     def test_branch_split(self, diamond_fn):
         freq = estimate_frequencies(diamond_fn)
         assert freq.block_freq["then"] == pytest.approx(0.5)
-        assert freq.block_freq["els"] == pytest.approx(0.5)
+        assert freq.block_freq["then"] == freq.block_freq["els"]
         assert freq.block_freq["join"] == pytest.approx(1.0)
+
+    def test_single_block_loop_runs_ten_times_its_entry(self):
+        b = FunctionBuilder("self_loop", params=["n"])
+        b.block("entry")
+        b.const("one", 1)
+        b.br("body")
+        b.block("body")
+        b.sub("n", "n", "one")
+        b.cbr("n", "body", "done")
+        b.block("done")
+        b.ret("n")
+        freq = estimate_frequencies(b.finish()).block_freq
+        assert freq["body"] == pytest.approx(10.0 * freq["entry"], rel=1e-6)
+        assert freq["done"] == pytest.approx(freq["entry"], rel=1e-6)
 
     def test_edge_freq_consistency(self, loop_fn):
         """Flow conservation: block frequency equals incoming edge flow."""

@@ -48,6 +48,33 @@ def irreducible_fn():
     return b.finish()
 
 
+def nested_irreducible_fn():
+    """An irreducible ping/pong region inside a reducible outer loop."""
+    b = FunctionBuilder("nested_irred", params=["n", "w"])
+    b.block("entry")
+    b.const("one", 1)
+    b.const("acc", 0)
+    b.copy("o", "n")
+    b.br("oh")
+    b.block("oh")
+    b.copy("i", "n")
+    b.cbr("w", "ping", "pong")
+    b.block("ping")
+    b.add("acc", "acc", "one")
+    b.sub("i", "i", "one")
+    b.cbr("i", "pong", "onext")
+    b.block("pong")
+    b.add("acc", "acc", "one")
+    b.sub("i", "i", "one")
+    b.cbr("i", "ping", "onext")
+    b.block("onext")
+    b.sub("o", "o", "one")
+    b.cbr("o", "oh", "done")
+    b.block("done")
+    b.ret("acc")
+    return b.finish()
+
+
 class TestStructure:
     def test_cfg_valid(self):
         validate_function(irreducible_fn())
@@ -90,29 +117,7 @@ class TestAllocation:
 
     def test_hierarchical_handles_nested_irreducible(self):
         """An irreducible region inside a reducible loop."""
-        b = FunctionBuilder("nested_irred", params=["n", "w"])
-        b.block("entry")
-        b.const("one", 1)
-        b.const("acc", 0)
-        b.copy("o", "n")
-        b.br("oh")
-        b.block("oh")
-        b.copy("i", "n")
-        b.cbr("w", "ping", "pong")
-        b.block("ping")
-        b.add("acc", "acc", "one")
-        b.sub("i", "i", "one")
-        b.cbr("i", "pong", "onext")
-        b.block("pong")
-        b.add("acc", "acc", "one")
-        b.sub("i", "i", "one")
-        b.cbr("i", "ping", "onext")
-        b.block("onext")
-        b.sub("o", "o", "one")
-        b.cbr("o", "oh", "done")
-        b.block("done")
-        b.ret("acc")
-        fn = b.finish()
+        fn = nested_irreducible_fn()
         validate_function(fn)
         tree = build_tile_tree(fn.clone())
         validate_tile_tree(tree)
