@@ -4,8 +4,8 @@ The paper allocates one procedure at a time; real compilers allocate
 modules.  The batch engine (``repro.batch``) fingerprints every function,
 serves repeats from a content-addressed allocation cache, and fans cache
 misses over a persistent process pool -- processes-per-function being the
-parallel axis that actually scales (intra-function thread parallelism
-loses under the GIL; see ``repro.core.schedule.should_parallelize``).
+parallel axis that actually scales (threads inside one function cannot
+beat the sequential tile walk, because the GIL serializes tile coloring).
 
 This bench measures module throughput on a >= 50-function synthetic
 module at several worker counts, cold (empty cache) and warm (second pass

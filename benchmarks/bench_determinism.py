@@ -8,10 +8,10 @@ the continuous proof.
 
 Every bench workload (including the 428-block random program) is
 allocated and simulated in fresh subprocesses under >= 3 distinct
-``PYTHONHASHSEED`` values and with ``parallel_workers`` in {1, N} (plus
-the sequential driver), and the resulting fingerprints -- allocated
-program hash, spill set, dynamic cost counters -- must be bit-identical
-across the whole matrix.
+``PYTHONHASHSEED`` values, each also pushed through the batch engine
+in-process and with 2 pool workers, and the resulting fingerprints --
+allocated program hash, spill set, dynamic cost counters -- must be
+bit-identical across the whole matrix.
 """
 
 from conftest import fmt_row, report
@@ -24,18 +24,20 @@ from repro.determinism import (
 
 WORKLOADS = workload_names()
 
-#: (hash seed, workers): three salts x {1 worker, 4 workers}, plus the
-#: sequential driver -- every execution mode in one comparison.
+#: (hash seed, batch pool workers): three salts x {in-process, 2 worker
+#: processes} -- every execution mode in one comparison.
 MATRIX = [
     (seed, workers)
     for seed in DEFAULT_HASH_SEEDS
-    for workers in (1, 4)
-] + [(DEFAULT_HASH_SEEDS[0], 0)]
+    for workers in (0, 2)
+]
 
 
 def test_cross_process_determinism():
     runs = {
-        key: fingerprint_in_subprocess(WORKLOADS, key[0], workers=key[1])
+        key: fingerprint_in_subprocess(
+            WORKLOADS, key[0], batch_workers=key[1]
+        )
         for key in MATRIX
     }
     baseline_key = MATRIX[0]
@@ -68,7 +70,7 @@ def test_cross_process_determinism():
                     )
     rows.append(
         f"matrix: PYTHONHASHSEED in {list(DEFAULT_HASH_SEEDS)}, "
-        "workers in [1, 4] + sequential driver"
+        "batch workers in [0, 2]"
     )
     report("E17_determinism", rows)
     assert not failures, "\n".join(failures)

@@ -25,8 +25,8 @@ One :class:`BatchEngine` owns a persistent ``ProcessPoolExecutor`` and an
 The parallelism axis is deliberately *across functions and processes*:
 each worker allocates sequentially (one function at a time, GIL-free
 relative to its siblings), which is where the real multi-core win lives
--- intra-function thread scheduling loses under the GIL (see
-``schedule.should_parallelize``).
+-- threads inside one function cannot beat the sequential tile walk,
+because the GIL serializes pure-Python tile coloring.
 
 Determinism: workers inherit ``PYTHONHASHSEED`` (set in ``os.environ``
 before the pool starts, so both fork and spawn children see it), and the

@@ -17,9 +17,7 @@ Three keys guard correctness:
   (:func:`code_version`), the semantic :class:`HierarchicalConfig`
   fields, the machine description, and the preparation options.  Any
   allocator code change or config change silently invalidates every
-  prior record; scheduling-only knobs (``parallel``, ``parallel_workers``,
-  ``parallel_min_tiles``) are *excluded* because the determinism gate
-  proves they never change output;
+  prior record;
 * the **inputs digest** (:func:`inputs_digest`) -- sha256 of the
   workload's simulator inputs (``args``/``arrays``).  A record stores
   the dynamic cost counters and the simulator's return value, both of
@@ -79,12 +77,6 @@ _CODE_VERSION_PACKAGES = (
 #: ``prepare``/``compile_function``, the path every cached record was
 #: produced through.
 _CODE_VERSION_MODULES = ("pipeline.py",)
-
-#: ``HierarchicalConfig`` fields that only affect scheduling, never output
-#: (proven by ``repro.determinism check`` across worker counts).
-_SCHEDULING_ONLY_FIELDS = frozenset(
-    {"parallel", "parallel_workers", "parallel_min_tiles"}
-)
 
 _code_version_cache: Optional[str] = None
 
@@ -149,7 +141,7 @@ def config_signature(config: HierarchicalConfig) -> Dict[str, object]:
         )
     signature: Dict[str, object] = {}
     for field in dataclasses.fields(config):
-        if field.name in _SCHEDULING_ONLY_FIELDS or field.name == "frequencies":
+        if field.name == "frequencies":
             continue
         signature[field.name] = getattr(config, field.name)
     return signature

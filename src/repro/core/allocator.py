@@ -3,15 +3,19 @@
 Ties together tile-tree construction, the bottom-up coloring phase, the
 top-down binding phase, and spill-code insertion, producing the same
 :class:`~repro.allocators.base.AllocationOutcome` interface as the baseline
-allocators.  Sibling subtrees are independent in both phases and can be
-processed concurrently (section 6: "sibling subtrees can be processed
-concurrently in both the bottom-up and top-down passes").
+allocators.  Each phase is one tree walk
+(:func:`~repro.core.phase1.run_phase1`,
+:func:`~repro.core.phase2.run_phase2`); an attached tile store only adds
+per-tile memoization to those walks.  Sibling subtrees are independent in
+both phases (section 6: "sibling subtrees can be processed concurrently in
+both the bottom-up and top-down passes"): the walkers visit them in a fixed
+order, and a property test shows any other sibling order gives the same
+output.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.allocators.base import (
     AllocationOutcome,
@@ -22,22 +26,15 @@ from repro.allocators.base import (
 from repro.core.budget import BudgetLimits
 from repro.core.config import HierarchicalConfig
 from repro.core.incremental import (
+    IncrementalState,
     TileCacheStore,
-    run_phase1_incremental,
-    run_phase2_incremental,
     tile_invalidation_key,
 )
 from repro.core.info import FunctionContext, build_context
-from repro.core.phase1 import allocate_tile, run_phase1
-from repro.core.phase2 import bind_tile, run_phase2
-from repro.core.schedule import (
-    resolve_workers,
-    run_phase1_scheduled,
-    run_phase2_scheduled,
-    should_parallelize,
-)
+from repro.core.phase1 import run_phase1
+from repro.core.phase2 import run_phase2
 from repro.core.spill_code import rewrite_program
-from repro.core.summary import MEM, TileAllocation
+from repro.core.summary import TileAllocation
 from repro.ir.function import Function
 from repro.machine.rewrite import check_physical
 from repro.machine.target import Machine
@@ -123,35 +120,16 @@ class HierarchicalAllocator(Allocator):
                 tracer=tracer, budget=budget,
             )
 
-        # Small trees fall back to the sequential driver even with
-        # ``parallel=True``: the thread pool cannot recover its overhead
-        # under the GIL (see ``schedule.should_parallelize``).  Output is
-        # identical either way -- only the schedule differs.  The
-        # incremental drivers are sequential-only (the dirty chain is a
-        # dependency chain anyway); with a store attached they take
-        # precedence over the thread scheduler.
         store = self.tile_store
-        state = None
-        use_scheduler = store is None and should_parallelize(
-            config, len(build.tree)
+        memo = (
+            IncrementalState(store, tile_invalidation_key(config, machine))
+            if store is not None
+            else None
         )
-        if store is not None:
-            invalidation = tile_invalidation_key(config, machine)
-            with timers.stage("phase1", tracer):
-                state = run_phase1_incremental(ctx, config, store, invalidation)
-                allocations = state.allocations
-            with timers.stage("phase2", tracer):
-                run_phase2_incremental(ctx, config, store, state)
-        elif use_scheduler:
-            with timers.stage("phase1", tracer):
-                allocations = run_phase1_scheduled(ctx, config)
-            with timers.stage("phase2", tracer):
-                run_phase2_scheduled(ctx, config, allocations)
-        else:
-            with timers.stage("phase1", tracer):
-                allocations = run_phase1(ctx, config)
-            with timers.stage("phase2", tracer):
-                run_phase2(ctx, config, allocations)
+        with timers.stage("phase1", tracer):
+            allocations = run_phase1(ctx, config, memo)
+        with timers.stage("phase2", tracer):
+            run_phase2(ctx, config, allocations, memo)
 
         with timers.stage("rewrite", tracer):
             if ctx.arena is not None:
@@ -169,17 +147,12 @@ class HierarchicalAllocator(Allocator):
         if budget is not None:
             self.last_budget = budget.snapshot()
             stats.extra["budget"] = self.last_budget
-        stats.extra["driver"] = (
-            "incremental"
-            if store is not None
-            else "dep_parallel" if use_scheduler else "sequential"
-        )
         self.last_tile_cache = None
-        if state is not None:
-            self.last_tile_cache = state.counters(ctx.tree)
+        if memo is not None:
+            self.last_tile_cache = memo.counters(ctx.tree)
             stats.extra["tile_cache"] = self.last_tile_cache
             stats.extra["tile_fingerprints"] = tuple(
-                state.fingerprints[t.tid] for t in ctx.tree.postorder()
+                memo.fingerprints[t.tid] for t in ctx.tree.postorder()
             )
         record_spill_blocks(out, stats)
         self.last_context = ctx
@@ -222,66 +195,3 @@ class HierarchicalAllocator(Allocator):
             }
         )
         return stats
-
-
-def _tiles_by_depth(ctx: FunctionContext) -> Dict[int, List]:
-    levels: Dict[int, List] = {}
-    for tile in ctx.tree.preorder():
-        levels.setdefault(tile.depth(), []).append(tile)
-    return levels
-
-
-def _run_phase1_parallel(
-    ctx: FunctionContext, config: HierarchicalConfig
-) -> Dict[int, TileAllocation]:
-    """Phase 1 with sibling tiles colored concurrently, deepest level first.
-
-    Level-barrier driver, kept for benchmarking against the
-    dependency-driven scheduler (:mod:`repro.core.schedule`), which the
-    allocator now uses: all tiles at one depth are mutually independent
-    (they are never ancestors of one another), and every child lies
-    strictly deeper than its parent, so level-by-level scheduling respects
-    the postorder dependency.  Results are identical to the sequential
-    pass.  The shared dicts are passed to the worker explicitly rather than
-    closed over, so the callable is self-contained.
-    """
-    allocations: Dict[int, TileAllocation] = {}
-    levels = _tiles_by_depth(ctx)
-    with ThreadPoolExecutor(max_workers=resolve_workers(config)) as pool:
-        for depth in sorted(levels, reverse=True):
-            tiles = levels[depth]
-            results = list(
-                pool.map(
-                    allocate_tile,
-                    [ctx] * len(tiles),
-                    [config] * len(tiles),
-                    tiles,
-                    [allocations] * len(tiles),
-                )
-            )
-            for tile, alloc in zip(tiles, results):
-                allocations[tile.tid] = alloc
-    return allocations
-
-
-def _run_phase2_parallel(
-    ctx: FunctionContext,
-    config: HierarchicalConfig,
-    allocations: Dict[int, TileAllocation],
-) -> None:
-    """Phase 2 with sibling tiles bound concurrently, shallowest first
-    (level-barrier driver, kept for benchmarking -- see
-    :func:`_run_phase1_parallel`)."""
-    levels = _tiles_by_depth(ctx)
-    with ThreadPoolExecutor(max_workers=resolve_workers(config)) as pool:
-        for depth in sorted(levels):
-            tiles = levels[depth]
-            list(
-                pool.map(
-                    bind_tile,
-                    [ctx] * len(tiles),
-                    [config] * len(tiles),
-                    tiles,
-                    [allocations] * len(tiles),
-                )
-            )

@@ -19,11 +19,12 @@ subtree:
 * :class:`TileCacheStore` -- process-local LRU over phase-1 entries
   (keyed by fingerprint) and phase-2 overlays (keyed by fingerprint plus
   the parent-interface digest).
-* :func:`run_phase1_incremental` / :func:`run_phase2_incremental` --
-  drop-in replacements for the sequential drivers that walk the tile
-  tree, reuse every clean subtree verbatim, and recompute only dirty
-  tiles.  Output is bit-identical to the cold drivers (proven by
-  ``repro.determinism check --incremental``).
+* :class:`IncrementalState` -- the memo the tile walkers
+  (:func:`repro.core.phase1.run_phase1`,
+  :func:`repro.core.phase2.run_phase2`) consult per tile when a store is
+  attached: clean subtrees are reused verbatim and only dirty tiles are
+  recomputed.  Output is bit-identical to a walk without a store (proven
+  by ``repro.determinism check --incremental``).
 
 Correctness rests on three invariants:
 
@@ -52,14 +53,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import HierarchicalConfig
 from repro.core.info import FunctionContext
-from repro.core.phase1 import allocate_tile
-from repro.core.phase2 import bind_tile
 from repro.core.summary import MEM, TileAllocation, TileMetrics
 from repro.graph.interference import InterferenceGraph
 from repro.ir.printer import format_instr
@@ -230,8 +229,9 @@ class Phase1Entry:
 
     ``graph`` is the pristine post-phase-1 interference graph, *shared*
     with whichever live allocation it was snapshotted from or
-    instantiated into -- phase 2 must clone before mutating (the drivers
-    below enforce this).  Every other container is an owned copy.
+    instantiated into -- phase 2 must clone before mutating
+    (:meth:`IncrementalState.reuse_phase2` enforces this).  Every other
+    container is an owned copy.
     """
 
     tile_id: int
@@ -402,22 +402,109 @@ class TileCacheStore:
 
 
 # ----------------------------------------------------------------------
-# incremental drivers
+# per-allocation memo consulted by the tile walkers
 # ----------------------------------------------------------------------
-@dataclass
 class IncrementalState:
-    """Carry-over between the two incremental phases plus the per-run
-    reuse counters the batch stats aggregate."""
+    """One allocation's view of a :class:`TileCacheStore`.
 
-    allocations: Dict[int, TileAllocation]
-    #: tile id -> fingerprint (every tile, hit or miss)
-    fingerprints: Dict[int, str]
-    #: tile id -> the store's pristine graph when the live allocation
-    #: still shares it (phase 2 clones before mutating)
-    shared_graphs: Dict[int, InterferenceGraph] = field(default_factory=dict)
-    phase1_hits: Set[int] = field(default_factory=set)
-    phase2_hits: int = 0
-    phase2_misses: int = 0
+    The phase-1 walker (:func:`repro.core.phase1.run_phase1`) asks
+    :meth:`reuse_phase1` before coloring a tile and hands a fresh result
+    to :meth:`record_phase1`; the phase-2 walker does the same with
+    :meth:`reuse_phase2` / :meth:`record_phase2`.  In between, the state
+    carries the fingerprints, the pristine graphs phase 2 must clone
+    before mutating, and the per-run reuse counters the batch stats
+    aggregate.
+    """
+
+    def __init__(self, store: TileCacheStore, invalidation: str) -> None:
+        self.store = store
+        self.invalidation = invalidation
+        #: tile id -> fingerprint (every tile, hit or miss)
+        self.fingerprints: Dict[int, str] = {}
+        #: tile id -> the store's pristine graph when the live allocation
+        #: still shares it (phase 2 clones before mutating)
+        self.shared_graphs: Dict[int, InterferenceGraph] = {}
+        self.phase1_hits: Set[int] = set()
+        self.phase2_hits = 0
+        self.phase2_misses = 0
+        #: tile id -> (overlay key, recolor rounds before binding) for a
+        #: phase-2 miss awaiting :meth:`record_phase2`
+        self._pending: Dict[int, Tuple[Tuple, int]] = {}
+
+    def reuse_phase1(
+        self,
+        ctx: FunctionContext,
+        tile: Tile,
+        allocations: Dict[int, TileAllocation],
+    ) -> Optional[TileAllocation]:
+        """Fingerprint *tile* (its children are resolved: postorder) and
+        return the cached phase-1 allocation, or ``None`` on a miss."""
+        fp = tile_fingerprint(
+            ctx, tile, allocations, self.fingerprints, self.invalidation
+        )
+        self.fingerprints[tile.tid] = fp
+        entry = self.store.get(("p1", fp))
+        if entry is None:
+            return None
+        self.shared_graphs[tile.tid] = entry.graph
+        self.phase1_hits.add(tile.tid)
+        if ctx.tracer.enabled:
+            ctx.tracer.emit(TileCacheHit(
+                tile_id=tile.tid, phase="phase1", fingerprint=fp,
+            ))
+        return instantiate_phase1(entry)
+
+    def record_phase1(self, tile: Tile, alloc: TileAllocation) -> None:
+        """Store a freshly computed phase-1 allocation."""
+        entry = snapshot_phase1(alloc)
+        # The entry shares the live graph; phase 2 clones on write.
+        self.shared_graphs[tile.tid] = entry.graph
+        self.store.put(("p1", self.fingerprints[tile.tid]), entry)
+
+    def reuse_phase2(
+        self,
+        ctx: FunctionContext,
+        tile: Tile,
+        allocations: Dict[int, TileAllocation],
+    ) -> bool:
+        """Apply the cached overlay when the tile's fingerprint *and*
+        parent interface both match one (``True``).  On a miss, clone the
+        shared pristine graph so binding can mutate it, and return
+        ``False``."""
+        alloc = allocations[tile.tid]
+        fp = self.fingerprints[tile.tid]
+        key = ("p2", fp, interface_digest(ctx, tile, alloc, allocations))
+        overlay = self.store.get(key)
+        if overlay is not None:
+            alloc.phys = dict(overlay.phys)
+            alloc.summary_phys = dict(overlay.summary_phys)
+            alloc.temp_nodes = set(overlay.temp_nodes)
+            alloc.recolor_rounds += overlay.rounds_delta
+            alloc.graph_counts = (overlay.node_count, overlay.edge_count)
+            self.phase2_hits += 1
+            if ctx.tracer.enabled:
+                ctx.tracer.emit(TileCacheHit(
+                    tile_id=tile.tid, phase="phase2", fingerprint=fp,
+                ))
+            return True
+        shared = self.shared_graphs.get(tile.tid)
+        if shared is not None and alloc.graph is shared:
+            alloc.graph = shared.clone()
+        self._pending[tile.tid] = (key, alloc.recolor_rounds)
+        return False
+
+    def record_phase2(self, tile: Tile, alloc: TileAllocation) -> None:
+        """Store the overlay a fresh binding of *tile* produced."""
+        key, rounds_before = self._pending.pop(tile.tid)
+        self.phase2_misses += 1
+        self.store.put(key, Phase2Overlay(
+            phys=dict(alloc.phys),
+            summary_phys=dict(alloc.summary_phys),
+            temp_nodes=set(alloc.temp_nodes),
+            rounds_delta=alloc.recolor_rounds - rounds_before,
+            node_count=len(alloc.graph),
+            edge_count=alloc.graph.edge_count(),
+        ))
 
     def counters(self, tree) -> Dict[str, int]:
         """The headline reuse counters: ``tile_hits`` / ``tile_misses``
@@ -438,83 +525,3 @@ class IncrementalState:
             "phase2_hits": self.phase2_hits,
             "phase2_misses": self.phase2_misses,
         }
-
-
-def run_phase1_incremental(
-    ctx: FunctionContext,
-    config: HierarchicalConfig,
-    store: TileCacheStore,
-    invalidation: str,
-) -> IncrementalState:
-    """Phase 1 with per-tile memoization: postorder walk, fingerprint
-    each tile once its children are resolved, reuse cached summaries
-    verbatim, compute and store the rest."""
-    tracer = ctx.tracer
-    state = IncrementalState(allocations={}, fingerprints={})
-    allocations = state.allocations
-    fps = state.fingerprints
-    for tile in ctx.tree.postorder():
-        fp = tile_fingerprint(ctx, tile, allocations, fps, invalidation)
-        fps[tile.tid] = fp
-        entry = store.get(("p1", fp))
-        if entry is not None:
-            alloc = instantiate_phase1(entry)
-            state.shared_graphs[tile.tid] = entry.graph
-            state.phase1_hits.add(tile.tid)
-            if tracer.enabled:
-                tracer.emit(TileCacheHit(
-                    tile_id=tile.tid, phase="phase1", fingerprint=fp,
-                ))
-        else:
-            alloc = allocate_tile(ctx, config, tile, allocations)
-            entry = snapshot_phase1(alloc)
-            # The entry shares the live graph; phase 2 clones on write.
-            state.shared_graphs[tile.tid] = entry.graph
-            store.put(("p1", fp), entry)
-        allocations[tile.tid] = alloc
-    return state
-
-
-def run_phase2_incremental(
-    ctx: FunctionContext,
-    config: HierarchicalConfig,
-    store: TileCacheStore,
-    state: IncrementalState,
-) -> None:
-    """Phase 2 with overlay memoization: preorder walk; a tile whose
-    fingerprint *and* parent interface both match a cached overlay takes
-    the recorded bindings verbatim, everything else binds fresh (cloning
-    the shared pristine graph first) and records its overlay."""
-    tracer = ctx.tracer
-    allocations = state.allocations
-    for tile in ctx.tree.preorder():
-        alloc = allocations[tile.tid]
-        fp = state.fingerprints[tile.tid]
-        key = ("p2", fp, interface_digest(ctx, tile, alloc, allocations))
-        overlay = store.get(key)
-        if overlay is not None:
-            alloc.phys = dict(overlay.phys)
-            alloc.summary_phys = dict(overlay.summary_phys)
-            alloc.temp_nodes = set(overlay.temp_nodes)
-            alloc.recolor_rounds += overlay.rounds_delta
-            alloc.graph_counts = (overlay.node_count, overlay.edge_count)
-            state.phase2_hits += 1
-            if tracer.enabled:
-                tracer.emit(TileCacheHit(
-                    tile_id=tile.tid, phase="phase2", fingerprint=fp,
-                ))
-            continue
-        shared = state.shared_graphs.get(tile.tid)
-        if shared is not None and alloc.graph is shared:
-            alloc.graph = shared.clone()
-        rounds_before = alloc.recolor_rounds
-        bind_tile(ctx, config, tile, allocations)
-        state.phase2_misses += 1
-        store.put(key, Phase2Overlay(
-            phys=dict(alloc.phys),
-            summary_phys=dict(alloc.summary_phys),
-            temp_nodes=set(alloc.temp_nodes),
-            rounds_delta=alloc.recolor_rounds - rounds_before,
-            node_count=len(alloc.graph),
-            edge_count=alloc.graph.edge_count(),
-        ))

@@ -10,11 +10,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.frequency import FrequencyInfo, estimate_frequencies
-from repro.analysis.liveness import (
-    Liveness,
-    compute_liveness,
-    liveness_from_arena,
-)
+from repro.analysis.liveness import Liveness, liveness_from_arena
 from repro.core.budget import AllocationBudget
 from repro.ir.function import Function
 from repro.machine.target import Machine
@@ -78,10 +74,10 @@ class FunctionContext:
     _tile_memo_version: int = field(default=-1, repr=False)
 
     def __post_init__(self) -> None:
-        # Built eagerly in both paths: the phases may run on a thread
-        # scheduler, and lazily filling a shared dict from multiple
-        # threads could expose partially-built state.  The arena path is
-        # a flat table scan, not an object walk.
+        # Built eagerly in both paths: phase 1 classifies every visible
+        # variable of every tile through these maps, so nearly every entry
+        # is read anyway.  The arena path is a flat table scan, not an
+        # object walk.
         if self.arena is not None and self.arena.fn is self.fn:
             self._build_ref_blocks_from_arena()
         else:

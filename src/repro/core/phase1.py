@@ -17,9 +17,10 @@ Each tile, visited in postorder:
 Invariants callers rely on:
 
 * :func:`allocate_tile` requires every child's :class:`TileAllocation` to
-  be present in *allocations* (postorder discipline); the parallel
-  scheduler preserves this by submitting a tile only after its last child
-  finishes.
+  be present in *allocations* (postorder discipline).  It reads nothing
+  else of its siblings, so the order in which siblings are visited does
+  not matter (section 6's independence claim; property-tested by
+  permuting sibling order in ``tests/test_perf_core.py``).
 * a tile's returned allocation is complete and immutable from the
   parent's perspective: summary variables, conflict summaries and
   finalized ``Reg``/``Mem`` metrics never change once returned.
@@ -32,7 +33,9 @@ Invariants callers rely on:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import threading
+import time
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import HierarchicalConfig
 from repro.core.info import FunctionContext
@@ -42,30 +45,60 @@ from repro.core.metrics import (
     not_worth_a_register,
     snapshot_candidates,
 )
-from repro.core.summary import (
-    TileAllocation,
-    is_summary_var,
-    is_temp_node,
-    summary_var_name,
-)
+from repro.core.summary import TileAllocation, is_temp_node, summary_var_name
 from repro.core.tilecolor import TileColoringSpec, color_tile
-from repro.graph.interference import InterferenceGraph, build_interference
+from repro.graph.interference import build_interference
 from repro.ir.instructions import Opcode, is_phys
 from repro.tiles.tile import Tile
-from repro.trace.events import SpillDecision, TileColored
+from repro.trace.events import SpillDecision, StageTiming, TileColored
+
+if TYPE_CHECKING:
+    from repro.core.incremental import IncrementalState
 
 
 def run_phase1(
-    ctx: FunctionContext, config: HierarchicalConfig
+    ctx: FunctionContext,
+    config: HierarchicalConfig,
+    memo: Optional["IncrementalState"] = None,
 ) -> Dict[int, TileAllocation]:
-    """Allocate every tile bottom-up; returns allocations keyed by tile id."""
+    """Allocate every tile bottom-up; returns allocations keyed by tile id.
+
+    The only phase-1 walk.  With *memo* (an allocator with a tile store
+    attached), each tile is first looked up by fingerprint and only
+    recomputed on a miss; every visit charges one ``tiles`` unit of fuel
+    either way, so spend does not depend on the store.  With tracing on,
+    each visit emits a per-tile :class:`~repro.trace.events.StageTiming`.
+    """
     allocations: Dict[int, TileAllocation] = {}
     budget = ctx.budget
+    tracer = ctx.tracer
     for tile in ctx.tree.postorder():
         if budget is not None:
             budget.charge(1, "tiles")
-        allocations[tile.tid] = allocate_tile(ctx, config, tile, allocations)
+        start = time.perf_counter()
+        alloc = None
+        if memo is not None:
+            alloc = memo.reuse_phase1(ctx, tile, allocations)
+        if alloc is None:
+            alloc = allocate_tile(ctx, config, tile, allocations)
+            if memo is not None:
+                memo.record_phase1(tile, alloc)
+        allocations[tile.tid] = alloc
+        if tracer.enabled:
+            emit_tile_timing(tracer, "phase1", tile, start)
     return allocations
+
+
+def emit_tile_timing(tracer, phase: str, tile: Tile, start: float) -> None:
+    """Emit one walker visit as a ``"tile"``-category ``StageTiming``."""
+    tracer.emit(StageTiming(
+        name=f"{phase}:tile{tile.tid}",
+        category="tile",
+        start=start,
+        duration=time.perf_counter() - start,
+        thread=threading.current_thread().name,
+        tile_id=tile.tid,
+    ))
 
 
 def allocate_tile(

@@ -20,8 +20,7 @@ Spill/transfer code between the tile and its parent is planned later by
 Invariants callers rely on:
 
 * :func:`bind_tile` requires the parent's ``phys`` map to be complete
-  (preorder discipline); the parallel scheduler submits a tile only after
-  its parent finishes.
+  (preorder discipline); siblings may be bound in any order.
 * after ``bind_tile`` returns, ``alloc.phys`` maps *every* node the
   rewrite stage can encounter in the tile -- visible variables, operand
   temporaries, intruders -- to a physical register or :data:`MEM`.
@@ -32,29 +31,47 @@ Invariants callers rely on:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+import time
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
 from repro.core.config import HierarchicalConfig
 from repro.core.info import FunctionContext
-from repro.core.summary import MEM, TileAllocation, is_summary_var, is_temp_node
+from repro.core.phase1 import emit_tile_timing
+from repro.core.summary import MEM, TileAllocation
 from repro.core.tilecolor import TileColoringSpec, color_tile
 from repro.ir.instructions import is_phys
 from repro.tiles.tile import Tile
 from repro.core.metrics import snapshot_candidates
 from repro.trace.events import PseudoBound, SpillDecision, TileColored
 
+if TYPE_CHECKING:
+    from repro.core.incremental import IncrementalState
+
 
 def run_phase2(
     ctx: FunctionContext,
     config: HierarchicalConfig,
     allocations: Dict[int, TileAllocation],
+    memo: Optional["IncrementalState"] = None,
 ) -> None:
-    """Bind every tile top-down; fills ``alloc.phys`` per tile."""
+    """Bind every tile top-down; fills ``alloc.phys`` per tile.
+
+    The only phase-2 walk; *memo*, fuel and per-tile timings work as in
+    :func:`repro.core.phase1.run_phase1` (a tile whose fingerprint and
+    parent interface match a cached overlay takes it verbatim).
+    """
     budget = ctx.budget
+    tracer = ctx.tracer
     for tile in ctx.tree.preorder():
         if budget is not None:
             budget.charge(1, "tiles")
-        bind_tile(ctx, config, tile, allocations)
+        start = time.perf_counter()
+        if memo is None or not memo.reuse_phase2(ctx, tile, allocations):
+            bind_tile(ctx, config, tile, allocations)
+            if memo is not None:
+                memo.record_phase2(tile, allocations[tile.tid])
+        if tracer.enabled:
+            emit_tile_timing(tracer, "phase2", tile, start)
 
 
 def bind_tile(

@@ -13,9 +13,8 @@ Two jobs:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.analysis.liveness import compute_liveness
 from repro.ir.function import Function
 from repro.ir.instructions import Instr, Opcode, is_phys
 

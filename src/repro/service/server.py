@@ -216,6 +216,12 @@ class AllocationService:
         self._engine_exec: Optional[ThreadPoolExecutor] = None
         self._dispatcher_task: Optional[asyncio.Task] = None
         self._conn_tasks: set = set()
+        #: writers of connections parked between requests: a drain closes
+        #: them at once instead of waiting for their clients to hang up
+        #: (which may never happen: pool workers forked after a client
+        #: connected hold a copy of its socket, so closing the client
+        #: end alone sends no EOF).
+        self._idle_writers: set = set()
 
         #: Admission state.  Invariants (all mutated only on the event
         #: loop, so they need no lock): ``len(_pending) <= queue_limit``
@@ -287,6 +293,8 @@ class AllocationService:
             return
         self._draining = True
         self._dispatch_gate.set()  # a paused dispatcher must still drain
+        for writer in list(self._idle_writers):
+            writer.close()
         try:
             await asyncio.wait_for(
                 self._drain_work(), timeout=self.config.drain_timeout_s
@@ -297,8 +305,9 @@ class AllocationService:
         self._work.set()
         if self._dispatcher_task is not None:
             await self._dispatcher_task
-        # Give connection handlers a moment to flush final responses,
-        # then close the listener and whatever connections remain.
+        # Let busy connection handlers flush their final responses (sent
+        # with ``Connection: close``; idle ones were closed above), then
+        # close the listener and whatever connections remain.
         if self._conn_tasks:
             await asyncio.wait(
                 list(self._conn_tasks), timeout=self.config.drain_timeout_s
@@ -400,9 +409,7 @@ class AllocationService:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, self.config.max_body_bytes
-                    )
+                    request = await self._next_request(reader, writer)
                 except ProtocolError as exc:
                     if exc.discard:
                         # Drain (a bounded slice of) the rejected body so
@@ -435,7 +442,7 @@ class AllocationService:
                     await self._dispatch_request(request, writer, keep_alive)
                 except (ConnectionError, asyncio.IncompleteReadError):
                     break
-                if not keep_alive:
+                if not self._keep_alive(keep_alive):
                     break
         finally:
             self._conn_tasks.discard(task)
@@ -444,6 +451,17 @@ class AllocationService:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    async def _next_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Request]:
+        """Wait for the connection's next request, marked idle meanwhile
+        so a drain can close the connection instead of waiting on it."""
+        self._idle_writers.add(writer)
+        try:
+            return await read_request(reader, self.config.max_body_bytes)
+        finally:
+            self._idle_writers.discard(writer)
 
     async def _dispatch_request(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
@@ -480,7 +498,8 @@ class AllocationService:
                 )
                 status = 200
                 writer.write(response_bytes(
-                    200, _json_bytes(payload), keep_alive=keep_alive,
+                    200, _json_bytes(payload),
+                    keep_alive=self._keep_alive(keep_alive),
                 ))
                 await writer.drain()
             else:
@@ -491,7 +510,7 @@ class AllocationService:
             status = exc.status
             writer.write(self._error_bytes(
                 exc.status, exc.error_class, str(exc),
-                detail=exc.detail, keep_alive=keep_alive,
+                detail=exc.detail, keep_alive=self._keep_alive(keep_alive),
             ))
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -502,7 +521,7 @@ class AllocationService:
             error_class, _ = classify_exception(exc)
             writer.write(self._error_bytes(
                 500, "internal", f"[{error_class}] {exc}",
-                keep_alive=keep_alive,
+                keep_alive=self._keep_alive(keep_alive),
             ))
             await writer.drain()
         finally:
@@ -517,6 +536,11 @@ class AllocationService:
                     functions=functions, coalesced=coalesced,
                     duration_ms=round(duration * 1000.0, 3),
                 ))
+
+    def _keep_alive(self, requested: bool) -> bool:
+        """Whether a reply may leave its connection open: only when the
+        client asked for keep-alive and no drain has started."""
+        return requested and not self._draining
 
     def _count_response(self, status: int) -> None:
         self._responses[status] = self._responses.get(status, 0) + 1
@@ -565,7 +589,9 @@ class AllocationService:
         stream = _truthy(request.query.get("stream"))
         if stream:
             self._streamed_total += 1
-            chunked = ChunkedWriter(writer, keep_alive=keep_alive)
+            chunked = ChunkedWriter(
+                writer, keep_alive=self._keep_alive(keep_alive)
+            )
             for index, (name, entry, was_inflight) in enumerate(slots):
                 result = await entry.future
                 payload = self._result_payload(
@@ -589,7 +615,9 @@ class AllocationService:
             "functions": functions,
             "coalesced": coalesced,
         })
-        writer.write(response_bytes(200, body, keep_alive=keep_alive))
+        writer.write(response_bytes(
+            200, body, keep_alive=self._keep_alive(keep_alive)
+        ))
         await writer.drain()
         return 200, functions, coalesced
 

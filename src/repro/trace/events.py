@@ -333,9 +333,10 @@ class StageTiming:
 
     ``start`` is a ``time.perf_counter`` value -- meaningful only relative
     to other events of the same process.  ``category`` is ``"pipeline"``
-    for whole-allocation stages and ``"tile"`` for per-tile scheduler
-    tasks; the latter carry the worker ``thread`` name, which is what the
-    Chrome trace sink lays out as rows.
+    for whole-allocation stages and ``"tile"`` for one tile visit of the
+    phase-1 or phase-2 walk (named ``"<phase>:tile<id>"``).  Both carry
+    the emitting ``thread`` name, which is what the Chrome trace sink lays
+    out as rows.
     """
 
     name: str

@@ -228,18 +228,19 @@ def _boundary_section(boundary: List[BoundaryAction]) -> List[str]:
 
 def render_schedule_summary(events: Sequence[object]) -> str:
     """One-line-per-stage timing summary (pipeline stages, then the
-    per-tile tasks grouped by worker thread)."""
+    per-tile walker visits summed per phase)."""
     timings = [e for e in events if isinstance(e, StageTiming)]
     lines: List[str] = []
     for t in (x for x in timings if x.category == "pipeline"):
         lines.append(f"{t.name:<24} {t.duration * 1e3:8.2f} ms")
-    by_thread: Dict[str, List[StageTiming]] = defaultdict(list)
+    by_phase: Dict[str, List[StageTiming]] = defaultdict(list)
     for t in (x for x in timings if x.category == "tile"):
-        by_thread[t.thread or "main"].append(t)
-    for thread in sorted(by_thread):
-        tasks = by_thread[thread]
-        total = sum(t.duration for t in tasks) * 1e3
+        by_phase[t.name.split(":", 1)[0]].append(t)
+    for phase in sorted(by_phase):
+        visits = by_phase[phase]
+        total = sum(t.duration for t in visits) * 1e3
         lines.append(
-            f"{thread:<24} {total:8.2f} ms across {len(tasks)} tile task(s)"
+            f"{phase + ' tiles':<24} {total:8.2f} ms across "
+            f"{len(visits)} tile visit(s)"
         )
     return "\n".join(lines)

@@ -8,9 +8,9 @@ shipped here cover the common consumers:
 * :class:`JSONLSink` -- one JSON object per line, ``{"type": ..., **fields}``,
   the shape log pipelines ingest.
 * :class:`ChromeTraceSink` -- converts :class:`~repro.trace.events.StageTiming`
-  events into the Chrome trace-event JSON format, so a parallel-scheduler
-  run can be opened in ``chrome://tracing`` / Perfetto with one row per
-  worker thread.
+  events into the Chrome trace-event JSON format, so an allocation (its
+  pipeline stages and every tile visit of both walks) can be opened in
+  ``chrome://tracing`` / Perfetto with one row per thread.
 
 Sinks are called with the tracer's lock held (see
 :class:`~repro.trace.tracer.AllocationTracer.emit`), so they need no
@@ -76,9 +76,9 @@ class ChromeTraceSink:
     trace-event JSON (``{"traceEvents": [...]}``).
 
     Complete events (``"ph": "X"``) are laid out with one trace ``tid``
-    per worker-thread name (plus thread-name metadata events), which is
-    exactly the view that shows the dependency-driven scheduler keeping
-    its workers busy.  :class:`~repro.trace.events.BatchTask` events get
+    per thread name (plus thread-name metadata events); per-tile visits
+    nest under the ``phase1``/``phase2`` stage that contains them.
+    :class:`~repro.trace.events.BatchTask` events get
     the same treatment with one row per batch *worker process* (their
     ``start`` values are already relative to the batch run, a different
     clock than ``StageTiming``'s ``perf_counter``, so the two families

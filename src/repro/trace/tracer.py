@@ -8,8 +8,9 @@ Two implementations share one interface:
   ``if tracer.enabled:`` so a traced-off allocation does no extra work
   beyond that attribute test (the perf gate runs with this tracer).
 * :class:`AllocationTracer` -- fans events out to its sinks and keeps
-  named counters.  Thread-safe: the parallel scheduler emits from worker
-  threads, so ``emit`` serializes sink writes behind a lock.
+  named counters.  Thread-safe: the service and the batch engine may
+  emit from more than one thread, so ``emit`` serializes sink writes
+  behind a lock.
 
 Tracing is strictly observational: no tracer method returns data into the
 allocator, so enabling it cannot change allocation output (property-tested

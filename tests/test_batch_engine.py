@@ -17,12 +17,7 @@ from repro.batch import (
     synthetic_module,
 )
 from repro.cli import main as cli_main
-from repro.core import HierarchicalAllocator, HierarchicalConfig
-from repro.core.schedule import (
-    PARALLEL_AUTO_MIN_TILES,
-    effective_min_tiles,
-    should_parallelize,
-)
+from repro.core import HierarchicalAllocator
 from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.pipeline import Workload, allocate_module, compile_function
@@ -296,51 +291,6 @@ class TestCLI:
     def test_load_module_dir_rejects_empty(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_module_dir(str(tmp_path))
-
-
-class TestParallelFallback:
-    """Satellite: ``parallel=True`` auto-falls back to the sequential
-    driver below the tile-count threshold (thread scheduling cannot pay
-    for itself there under the GIL)."""
-
-    def test_threshold_default(self):
-        config = HierarchicalConfig(parallel=True, parallel_workers=4)
-        assert effective_min_tiles(config) == max(
-            8, PARALLEL_AUTO_MIN_TILES
-        )
-        assert not should_parallelize(config, 100)
-        assert should_parallelize(config, PARALLEL_AUTO_MIN_TILES)
-
-    def test_threshold_override(self):
-        config = HierarchicalConfig(
-            parallel=True, parallel_workers=4, parallel_min_tiles=1
-        )
-        assert effective_min_tiles(config) == 1
-        assert should_parallelize(config, 1)
-
-    def test_disabled_without_parallel(self):
-        assert not should_parallelize(HierarchicalConfig(), 10_000)
-
-    def test_driver_recorded_in_stats(self):
-        machine = Machine.simple(4)
-        fn = dot()
-        from repro.pipeline import prepare
-
-        fallback = HierarchicalAllocator(
-            HierarchicalConfig(parallel=True, parallel_workers=2)
-        ).allocate(prepare(fn.clone()), machine)
-        assert fallback.stats.extra["driver"] == "sequential"
-
-        forced = HierarchicalAllocator(
-            HierarchicalConfig(
-                parallel=True, parallel_workers=2, parallel_min_tiles=1
-            )
-        ).allocate(prepare(fn.clone()), machine)
-        assert forced.stats.extra["driver"] == "dep_parallel"
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            HierarchicalConfig(parallel_min_tiles=0)
 
 
 class TestBatchConfigValidation:

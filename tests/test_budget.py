@@ -162,6 +162,28 @@ class TestBudgetedAllocationIdentity:
             snaps.append(allocator.last_budget)
         assert snaps[0] == snaps[1]
 
+    def test_fuel_spend_does_not_depend_on_the_tile_store(self):
+        """Every tile visit charges ``tiles`` fuel, memoized or not, so
+        attaching a store cannot change what a cold allocation spends,
+        and a warm replay walks (and charges) the same tiles."""
+        from repro.core.incremental import TileCacheStore
+        from repro.pipeline import prepare
+
+        machine = Machine.simple(4)
+
+        def counters(store):
+            allocator = HierarchicalAllocator(
+                budget_limits=BudgetLimits(max_fuel=10**9), tile_store=store
+            )
+            allocator.allocate(prepare(random_program(3)), machine)
+            return allocator.last_budget["counters"]
+
+        plain = counters(None)
+        store = TileCacheStore()
+        assert counters(store) == plain
+        assert len(store) > 0
+        assert counters(store)["tiles"] == plain["tiles"]
+
     def test_tiny_fuel_raises_classified_exhaustion(self):
         allocator = HierarchicalAllocator(
             budget_limits=BudgetLimits(max_fuel=25)

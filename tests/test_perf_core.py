@@ -3,15 +3,16 @@
 Covers the interning layer and bitset helpers, the stage timers, the
 CFG-query caches and their invalidation, equality of the bitset analyses
 with the preserved string-set reference implementations on random
-structured programs, determinism of the dependency-driven parallel
-scheduler -- both within one process and across processes with different
-``PYTHONHASHSEED`` values -- and the duplicated-CBR-arm spill-placement
-regression.
+structured programs, independence of sibling subtrees (any sibling visit
+order gives the same allocation), determinism across processes with
+different ``PYTHONHASHSEED`` values, and the duplicated-CBR-arm
+spill-placement regression.
 """
 
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 from repro.analysis.liveness import compute_liveness
 from repro.analysis.reference import reference_interference, reference_liveness
 from repro.core import HierarchicalAllocator, HierarchicalConfig
-from repro.core.allocator import _run_phase1_parallel, _run_phase2_parallel
 from repro.graph.interference import InterferenceGraph, build_interference
 from repro.ir.builder import FunctionBuilder
 from repro.ir.printer import format_function
@@ -224,101 +224,85 @@ def test_bitset_interference_equals_reference_restricted(seed):
     assert sorted(fast.edges()) == sorted(ref.edges())
 
 
-def _normalized_phys(tree, fn, allocations):
-    """Per-tile physical locations keyed by postorder position, with the
-    process-global counters inside summary/temp node names (tile ids,
-    instruction uids) rewritten to build-local positions so results from
-    separate builds compare equal."""
-    import re
-
-    tidmap = {tile.tid: pos for pos, tile in enumerate(tree.postorder())}
-    uidmap = {}
-    for block in fn.blocks.values():
-        for instr in block.instrs:
-            uidmap.setdefault(instr.uid, len(uidmap))
-
-    def norm(name):
-        if name.startswith("ts:"):
-            _, tid, color = name.split(":", 2)
-            color = re.sub(
-                r"^t(\d+)\.", lambda m: f"t{tidmap[int(m.group(1))]}.", color
-            )
-            return f"ts:{tidmap[int(tid)]}:{color}"
-        if name.startswith("tmp:"):
-            _, uid, rest = name.split(":", 2)
-            return f"tmp:{uidmap[int(uid)]}:{rest}"
-        return name
-
-    return {
-        tidmap[tid]: dict(
-            sorted((norm(var), loc) for var, loc in alloc.phys.items())
-        )
-        for tid, alloc in allocations.items()
-    }
+def _shuffled_postorder(tile, rng):
+    children = list(tile.children)
+    rng.shuffle(children)
+    for child in children:
+        yield from _shuffled_postorder(child, rng)
+    yield tile
 
 
-def _allocate_text(fn, config, registers=4):
-    allocator = HierarchicalAllocator(config)
-    out = allocator.allocate(fn, Machine.simple(registers))
-    phys = _normalized_phys(
-        allocator.last_context.tree,
-        allocator.last_context.fn,
-        allocator.last_allocations,
-    )
-    return format_function(out.allocated_fn), phys
+def _shuffled_preorder(tile, rng):
+    yield tile
+    children = list(tile.children)
+    rng.shuffle(children)
+    for child in children:
+        yield from _shuffled_preorder(child, rng)
 
 
-@given(seed=SEEDS, registers=st.sampled_from([2, 3, 4, 6]))
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_parallel_allocation_identical_to_sequential(seed, registers):
-    """The dependency-driven scheduler must reproduce the sequential
-    output byte for byte: same rewritten program, same per-tile physical
-    locations."""
-    text_seq, phys_seq = _allocate_text(
-        random_program(seed), HierarchicalConfig(), registers
-    )
-    text_par, phys_par = _allocate_text(
-        random_program(seed),
-        HierarchicalConfig(
-            parallel=True, parallel_workers=3, parallel_min_tiles=1
-        ),
-        registers,
-    )
-    assert text_seq == text_par
-    assert phys_seq == phys_par
-
-
-@given(seed=SEEDS)
+@given(
+    seed=SEEDS,
+    registers=st.sampled_from([2, 3, 4, 6]),
+    order_seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
 @COMMON
-def test_level_barrier_driver_matches_scheduler(seed):
-    """The retained level-barrier driver stays equivalent (it is the bench
-    baseline for the dependency-driven scheduler)."""
+def test_sibling_visit_order_is_irrelevant(seed, registers, order_seed):
+    """Section 6: sibling subtrees are independent in both phases.
+
+    Colors every tile in a postorder whose children are visited in a
+    random order, binds in a preorder with shuffled children, and
+    requires the rewritten program and every tile's physical locations
+    to equal the allocator's fixed-order walk exactly.  Each example
+    tests a different schedule, which a run of a thread pool could not
+    promise.
+    """
     from repro.core.info import build_context
-    from repro.tiles.construction import build_tile_tree_detailed
+    from repro.core.phase1 import allocate_tile
+    from repro.core.phase2 import bind_tile
+    from repro.core.spill_code import rewrite_program
+    from repro.tiles.construction import (
+        TileTreeOptions,
+        build_tile_tree_detailed,
+    )
 
     fn = random_program(seed)
+    machine = Machine.simple(registers)
     config = HierarchicalConfig()
+    allocator = HierarchicalAllocator(config)
+    expected = allocator.allocate(fn.clone(), machine)
+    expected_phys = {
+        tid: list(alloc.phys.items())
+        for tid, alloc in allocator.last_allocations.items()
+    }
 
-    work_a = fn.clone()
-    build_a = build_tile_tree_detailed(work_a)
-    ctx_a = build_context(work_a, Machine.simple(4), build_a.tree,
-                          build_a.fixup, None)
-    alloc_a = _run_phase1_parallel(ctx_a, config)
-    _run_phase2_parallel(ctx_a, config, alloc_a)
+    # The same set-up as HierarchicalAllocator.allocate.
+    work = fn.clone()
+    build = build_tile_tree_detailed(work, TileTreeOptions(
+        conditional_tiles=config.conditional_tiles,
+        max_tile_width=config.max_tile_width,
+    ))
+    build.tree.renumber()
+    work.renumber_uids()
+    ctx = build_context(
+        work, machine, build.tree, build.fixup, config.frequencies
+    )
+    rng = random.Random(order_seed)
+    allocations = {}
+    for tile in _shuffled_postorder(ctx.tree.root, rng):
+        allocations[tile.tid] = allocate_tile(ctx, config, tile, allocations)
+    for tile in _shuffled_preorder(ctx.tree.root, rng):
+        bind_tile(ctx, config, tile, allocations)
+    allocations = {
+        tile.tid: allocations[tile.tid] for tile in ctx.tree.postorder()
+    }
+    if ctx.arena is not None:
+        ctx.arena.retire()
+    out = rewrite_program(ctx, config, allocations)
 
-    from repro.core.schedule import run_phase1_scheduled, run_phase2_scheduled
-
-    work_b = fn.clone()
-    build_b = build_tile_tree_detailed(work_b)
-    ctx_b = build_context(work_b, Machine.simple(4), build_b.tree,
-                          build_b.fixup, None)
-    alloc_b = run_phase1_scheduled(ctx_b, config)
-    run_phase2_scheduled(ctx_b, config, alloc_b)
-
-    phys_a = _normalized_phys(ctx_a.tree, ctx_a.fn, alloc_a)
-    phys_b = _normalized_phys(ctx_b.tree, ctx_b.fn, alloc_b)
-    assert phys_a == phys_b
+    assert format_function(out) == format_function(expected.fn)
+    assert {
+        tid: list(alloc.phys.items()) for tid, alloc in allocations.items()
+    } == expected_phys
 
 
 _CROSS_PROCESS_SCRIPT = """
@@ -328,14 +312,8 @@ from repro.ir.printer import format_function
 from repro.machine.target import Machine
 from repro.workloads.generators import random_program
 
-seed, registers, workers = (int(a) for a in sys.argv[1:4])
-if workers == 0:
-    config = HierarchicalConfig()
-else:
-    config = HierarchicalConfig(
-        parallel=True, parallel_workers=workers, parallel_min_tiles=1
-    )
-out = HierarchicalAllocator(config).allocate(
+seed, registers = (int(a) for a in sys.argv[1:3])
+out = HierarchicalAllocator(HierarchicalConfig()).allocate(
     random_program(seed), Machine.simple(registers)
 )
 text = format_function(out.fn)
@@ -354,7 +332,7 @@ class TestCrossProcessDeterminism:
     HASH_SEEDS = ("0", "1", "12345")
 
     @staticmethod
-    def _run(program_seed, registers, workers, hash_seed):
+    def _run(program_seed, registers, hash_seed):
         import repro
 
         env = dict(os.environ)
@@ -364,28 +342,25 @@ class TestCrossProcessDeterminism:
         env["PYTHONPATH"] = src + (os.pathsep + prior if prior else "")
         proc = subprocess.run(
             [sys.executable, "-c", _CROSS_PROCESS_SCRIPT,
-             str(program_seed), str(registers), str(workers)],
+             str(program_seed), str(registers)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
     @pytest.mark.parametrize("program_seed,registers", [(7, 3), (501, 4)])
-    def test_output_identical_across_hash_seeds_and_workers(
+    def test_output_identical_across_hash_seeds(
         self, program_seed, registers
     ):
         runs = {
-            (hash_seed, workers): self._run(
-                program_seed, registers, workers, hash_seed
-            )
+            hash_seed: self._run(program_seed, registers, hash_seed)
             for hash_seed in self.HASH_SEEDS
-            for workers in (0, 3)
         }
-        baseline = runs[(self.HASH_SEEDS[0], 0)]
-        for key, run in runs.items():
+        baseline = runs[self.HASH_SEEDS[0]]
+        for hash_seed, run in runs.items():
             assert run == baseline, (
-                f"program seed {program_seed}: (PYTHONHASHSEED={key[0]}, "
-                f"workers={key[1]}) produced different allocation output"
+                f"program seed {program_seed}: PYTHONHASHSEED={hash_seed} "
+                f"produced different allocation output"
             )
 
 

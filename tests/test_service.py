@@ -830,6 +830,34 @@ class TestShutdown:
 
         run(main())
 
+    def test_shutdown_closes_idle_keepalive_connections_at_once(self):
+        """A keep-alive connection parked between requests must not hold
+        the drain open for ``drain_timeout_s``; a reply still in flight
+        is answered with ``Connection: close``."""
+        async def main():
+            svc = AllocationService(service_config())
+            await svc.start()
+            async with ServiceClient("127.0.0.1", svc.port) as client:
+                # two pooled keep-alive connections: one stays idle, the
+                # other carries the in-flight allocation
+                await asyncio.gather(client.healthz(), client.healthz())
+                svc.pause_dispatch()
+                inflight = asyncio.ensure_future(
+                    client.allocate([{"text": ML_ADD}])
+                )
+                await wait_until(lambda: len(svc._inflight) == 1)
+                start = time.monotonic()
+                await svc.shutdown()
+                elapsed = time.monotonic() - start
+                reply = await inflight
+            assert svc.config.drain_timeout_s >= 30
+            assert elapsed < 1.0
+            assert reply.status == 200
+            assert reply.data["results"][0]["ok"]
+            assert reply.headers["connection"] == "close"
+
+        run(main())
+
     def test_drain_timeout_fails_leftovers_with_shutdown_class(self):
         class StuckGate(asyncio.Event):
             """set() is a no-op so shutdown cannot re-open dispatch;

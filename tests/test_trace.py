@@ -11,7 +11,8 @@ import re
 
 import pytest
 
-from repro.core import HierarchicalAllocator, HierarchicalConfig
+from repro.core import HierarchicalAllocator
+from repro.core.incremental import TileCacheStore
 from repro.core.spill_code import _boundary_case
 from repro.core.summary import MEM
 from repro.ir import format_function
@@ -262,12 +263,11 @@ class TestSinks:
         )
 
     def test_chrome_trace_on_parallel_run(self, tmp_path):
+        # The walkers emit one "tile" row per visit (section 6's sibling
+        # subtrees, run one after another).
         path = tmp_path / "sched.json"
         tracer = AllocationTracer([ChromeTraceSink(str(path))])
-        config = HierarchicalConfig(
-            parallel=True, parallel_workers=2, parallel_min_tiles=1
-        )
-        allocator = HierarchicalAllocator(config, tracer=tracer)
+        allocator = HierarchicalAllocator(tracer=tracer)
         allocator.allocate(prepare(nested_cond()), Machine.simple(4))
         tracer.close()
 
@@ -279,7 +279,8 @@ class TestSinks:
         # One named row per thread that emitted a timing.
         assert {m["name"] for m in metadata} == {"thread_name"}
         tile_tasks = [e for e in complete if e["cat"] == "tile"]
-        assert tile_tasks
+        tiles = len(allocator.last_context.tree)
+        assert len(tile_tasks) == 2 * tiles  # one per tile per phase
         assert all(e["dur"] >= 0 and e["ts"] >= 0 for e in complete)
 
     def test_memory_sink_of_type(self):
@@ -320,14 +321,14 @@ class TestTracingIsObservational:
     @pytest.mark.parametrize(
         "name,factory,registers", WORKLOADS, ids=[w[0] for w in WORKLOADS]
     )
-    @pytest.mark.parametrize("parallel", [False, True], ids=["seq", "par"])
-    def test_traced_equals_untraced(self, name, factory, registers, parallel):
-        config = HierarchicalConfig(
-            parallel=parallel, parallel_workers=2 if parallel else None
-        )
+    @pytest.mark.parametrize("memo", [False, True], ids=["seq", "memo"])
+    def test_traced_equals_untraced(self, name, factory, registers, memo):
+        # "memo": both runs share a tile store, so the traced run (second)
+        # replays every tile from it.
+        store = TileCacheStore() if memo else None
 
         def fingerprint(tracer):
-            allocator = HierarchicalAllocator(config, tracer=tracer)
+            allocator = HierarchicalAllocator(tracer=tracer, tile_store=store)
             allocator.allocate(prepare(factory()), Machine.simple(registers))
             out = allocator.last_context.fn
             idx = tile_index(allocator)  # tile ids are process-global
@@ -339,8 +340,8 @@ class TestTracingIsObservational:
             }
             return format_function(out), spilled
 
-        traced = fingerprint(AllocationTracer([MemorySink()]))
         untraced = fingerprint(None)
+        traced = fingerprint(AllocationTracer([MemorySink()]))
         assert traced == untraced
 
     def test_pipeline_fingerprint_equal(self):
