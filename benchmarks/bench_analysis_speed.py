@@ -24,11 +24,12 @@ import time
 
 from conftest import fmt_row, report
 
-from repro.analysis.liveness import compute_liveness
+from repro.analysis.liveness import liveness_from_arena
 from repro.analysis.reference import reference_interference, reference_liveness
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.graph.interference import build_interference
 from repro.machine.target import Machine
+from repro.perf.arena import build_arena
 from repro.workloads.generators import random_program
 from repro.workloads.kernels import sequential_loops
 
@@ -70,7 +71,9 @@ def _run_analysis_reference(fn):
 
 
 def _run_analysis_bitset(fn):
-    liv = compute_liveness(fn)
+    """The allocator's analysis path: arena lowering, worklist liveness,
+    per-instruction scans and interference from the arena tables."""
+    liv = liveness_from_arena(build_arena(fn))
     for label in fn.blocks:
         liv.instr_live_out_bits(label)
     build_interference(fn, liv)

@@ -1,22 +1,35 @@
-"""Reference (pre-bitset) analysis implementations.
+"""Reference (string-set) analysis implementations: the only oracle.
 
 The seed repository computed liveness and interference over Python string
-sets; ``repro.analysis.liveness`` and ``repro.graph.interference`` now run
-over interned bitsets.  This module preserves the original algorithms
-verbatim as an *oracle*: the property tests assert the bitset
-implementations produce exactly the same sets and edges on random
-structured programs, and ``benchmarks/bench_analysis_speed.py`` uses them
-to report the analysis-layer speedup.  Nothing in the allocator imports
-this module.
+sets; the allocator now runs both over the flat
+:class:`~repro.perf.arena.FunctionArena` (``compute_liveness`` /
+``liveness_from_arena`` and ``build_interference``), which is its only
+analysis path.  This module preserves the original algorithms verbatim
+as the *oracle* for that path: the property tests assert the arena
+analyses produce exactly the same sets and edges on random structured
+programs, and ``benchmarks/bench_analysis_speed.py`` uses them to report
+the analysis-layer speedup.  Nothing in the allocator imports this
+module.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.analysis.liveness import block_use_def
 from repro.graph.interference import InterferenceGraph
 from repro.ir.function import Function
+
+
+def block_use_def(block) -> Tuple[Set[str], Set[str]]:
+    """(upward-exposed uses, defs) of a block."""
+    uses: Set[str] = set()
+    defs: Set[str] = set()
+    for instr in block.instrs:
+        for u in instr.uses:
+            if u not in defs:
+                uses.add(u)
+        defs.update(instr.defs)
+    return uses, defs
 
 
 class ReferenceLiveness:

@@ -132,11 +132,10 @@ class HierarchicalAllocator(Allocator):
             run_phase2(ctx, config, allocations, memo)
 
         with timers.stage("rewrite", tracer):
-            if ctx.arena is not None:
-                # The rewrite mutates ``work`` in place; the arena is a
-                # snapshot of the pre-rewrite function and must not serve
-                # per-instruction scans past this point.
-                ctx.arena.retire()
+            # The rewrite mutates ``work`` in place; the arena is a
+            # snapshot of the pre-rewrite function and must not serve
+            # per-instruction scans past this point.
+            ctx.arena.retire()
             out = rewrite_program(ctx, config, allocations)
             check_physical(out, machine.num_registers)
 

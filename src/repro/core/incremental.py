@@ -61,7 +61,6 @@ from repro.core.config import HierarchicalConfig
 from repro.core.info import FunctionContext
 from repro.core.summary import MEM, TileAllocation, TileMetrics
 from repro.graph.interference import InterferenceGraph
-from repro.ir.printer import format_instr
 from repro.machine.target import Machine
 from repro.tiles.tile import Tile
 from repro.trace.events import TileCacheHit
@@ -91,25 +90,6 @@ def tile_invalidation_key(config: HierarchicalConfig, machine: Machine) -> str:
 # ----------------------------------------------------------------------
 # fingerprints
 # ----------------------------------------------------------------------
-def _block_digest(ctx: FunctionContext, label: str) -> str:
-    """Canonical digest of one block: label, successor list, and per
-    instruction its uid, printed text and clobbers.  Served by the arena
-    (which memoizes it per block) when one is attached; the fallback
-    walks the block objects with the identical framing."""
-    arena = ctx.arena
-    if arena is not None and not arena.retired:
-        return arena.block_digest(arena.block_id[label])
-    block = ctx.fn.blocks[label]
-    h = sha256()
-    h.update(block.label.encode())
-    h.update(("->" + ",".join(block.succ_labels)).encode())
-    for instr in block.instrs:
-        h.update(f"\n{instr.uid}|{format_instr(instr)}".encode())
-        if instr.clobbers:
-            h.update(("!" + ",".join(instr.clobbers)).encode())
-    return h.hexdigest()
-
-
 def tile_fingerprint(
     ctx: FunctionContext,
     tile: Tile,
@@ -156,11 +136,13 @@ def tile_fingerprint(
 
     own = sorted(tile.own_blocks())
     live_out = ctx.liveness.live_out
+    block_digest = ctx.arena.block_digest
+    block_id = ctx.arena.block_id
     for label in own:
         upd(b"B ")
         upd(label.encode())
         upd(b" ")
-        upd(_block_digest(ctx, label).encode())
+        upd(block_digest(block_id[label]).encode())
         upd(f" {ctx.block_freq(label).hex()} ".encode())
         upd(",".join(sorted(live_out[label])).encode())
         upd(b"\n")

@@ -31,17 +31,15 @@ class FunctionContext:
     liveness: Liveness
     freq: FrequencyInfo
     fixup: FixupStats
+    #: flat lowering of ``fn`` (block/instruction/variable tables) that
+    #: ``liveness`` was solved over; every per-tile query reads it.
+    arena: FunctionArena = field(repr=False)
     #: var -> labels of blocks referencing it (defs or uses)
     ref_blocks: Dict[str, Set[str]] = field(default_factory=dict)
     #: var -> labels of blocks defining it
     def_blocks: Dict[str, Set[str]] = field(default_factory=dict)
     #: label of inserted fix-up block -> the original edge it subdivides
     orig_edge: Dict[str, Tuple[str, str]] = field(default_factory=dict)
-    #: flat lowering of ``fn`` (block/instruction/variable tables); None
-    #: when the context was built without one (tests constructing the
-    #: dataclass directly) -- every arena consumer has an object-walk
-    #: fallback.
-    arena: Optional[FunctionArena] = field(default=None, repr=False)
     #: structured-event recorder threaded through both phases; the shared
     #: :data:`~repro.trace.tracer.NULL_TRACER` keeps untraced runs free
     #: (call sites guard on ``tracer.enabled``).
@@ -59,46 +57,20 @@ class FunctionContext:
     _ref_counts: Dict[str, Dict[str, int]] = field(
         default_factory=dict, repr=False
     )
-    #: var -> ``ref_blocks[var]`` as a sorted tuple (lazy memo)
-    _ref_blocks_sorted: Dict[str, Tuple[str, ...]] = field(
-        default_factory=dict, repr=False
-    )
-    #: tile id -> bitset over arena block ids (own / all blocks)
-    _tile_own_bmask: Dict[int, int] = field(default_factory=dict, repr=False)
+    #: tile id -> bitset over arena block ids of the tile's subtree
     _tile_all_bmask: Dict[int, int] = field(default_factory=dict, repr=False)
-    #: arena block id -> {vid: defs+uses count} (flat Refs_b twin)
-    _ref_counts_vid: Dict[int, Dict[int, int]] = field(
-        default_factory=dict, repr=False
-    )
-    _block_freq_arr: Optional[List[float]] = field(default=None, repr=False)
     _tile_memo_version: int = field(default=-1, repr=False)
 
     def __post_init__(self) -> None:
-        # Built eagerly in both paths: phase 1 classifies every visible
-        # variable of every tile through these maps, so nearly every entry
-        # is read anyway.  The arena path is a flat table scan, not an
-        # object walk.
-        if self.arena is not None and self.arena.fn is self.fn:
-            self._build_ref_blocks_from_arena()
-        else:
-            self._build_ref_blocks()
+        # Built eagerly: phase 1 classifies every visible variable of
+        # every tile through these maps, so nearly every entry is read
+        # anyway.
+        self._build_ref_blocks()
 
     def _build_ref_blocks(self) -> None:
-        for label, block in self.fn.blocks.items():
-            for instr in block.instrs:
-                for var in instr.uses:
-                    self.ref_blocks.setdefault(var, set()).add(label)
-                for var in instr.defs:
-                    self.ref_blocks.setdefault(var, set()).add(label)
-                    self.def_blocks.setdefault(var, set()).add(label)
-                for var in instr.clobbers:
-                    self.ref_blocks.setdefault(var, set()).add(label)
-                    self.def_blocks.setdefault(var, set()).add(label)
-
-    def _build_ref_blocks_from_arena(self) -> None:
-        """Materialize the name-keyed ref/def block dicts from the flat
-        tables (identical content to the object walk: both record the
-        pre-rewrite function, clobbers included)."""
+        """Materialize the name-keyed ref/def block dicts from the
+        arena's per-variable tables (the pre-rewrite function, clobbers
+        included)."""
         arena = self.arena
         name_of = arena.index.name_of
         labels = arena.labels
@@ -115,34 +87,12 @@ class FunctionContext:
     # ------------------------------------------------------------------
     def referenced_in_blocks(self, labels) -> Set[str]:
         arena = self.arena
-        if arena is not None and not arena.retired:
-            mask = 0
-            block_id = arena.block_id
-            block_ref = arena.block_ref
-            for label in labels:
-                mask |= block_ref[block_id[label]]
-            return set(arena.index.members(mask))
-        out: Set[str] = set()
+        mask = 0
+        block_id = arena.block_id
+        block_ref = arena.block_ref
         for label in labels:
-            out |= self.fn.blocks[label].variables()
-        return out
-
-    def ref_blocks_sorted(self, var: str) -> Tuple[str, ...]:
-        """``ref_blocks[var]`` in canonical (sorted) order.  Memoized: a
-        global variable is visible in many tiles, and the metrics pass
-        must walk its referencing blocks in a hash-independent order
-        every time -- sort once per variable, not once per tile."""
-        out = self._ref_blocks_sorted.get(var)
-        if out is None:
-            out = tuple(sorted(self.ref_blocks.get(var, ())))
-            self._ref_blocks_sorted[var] = out
-        return out
-
-    def referenced_in_subtree(self, tile: Tile, var: str) -> bool:
-        blocks = self.ref_blocks.get(var)
-        if not blocks:
-            return False
-        return bool(blocks & tile.all_blocks)
+            mask |= block_ref[block_id[label]]
+        return set(arena.index.members(mask))
 
     def refs_only_inside(self, tile: Tile, var: str) -> bool:
         blocks = self.ref_blocks.get(var, set())
@@ -150,16 +100,10 @@ class FunctionContext:
 
     def defined_in_subtree(self, tile: Tile, var: str) -> bool:
         arena = self.arena
-        if arena is not None:
-            ids = arena.index._ids
-            vid = ids.get(var)
-            if vid is None:
-                return False
-            return bool(arena.var_def_bmask(vid) & self.tile_all_bmask(tile))
-        blocks = self.def_blocks.get(var)
-        if not blocks:
+        vid = arena.index._ids.get(var)
+        if vid is None:
             return False
-        return bool(blocks & tile.all_blocks)
+        return bool(arena.var_def_bmask(vid) & self.tile_all_bmask(tile))
 
     def _tile_memos_current(self) -> None:
         version = getattr(self.fn, "cfg_version", None)
@@ -167,7 +111,6 @@ class FunctionContext:
             self._boundary_live.clear()
             self._boundary_transfer.clear()
             self._ref_counts.clear()
-            self._tile_own_bmask.clear()
             self._tile_all_bmask.clear()
             self._tile_memo_version = version
 
@@ -239,22 +182,8 @@ class FunctionContext:
         )
 
     # ------------------------------------------------------------------
-    # flat (arena-backed) twins of the classification helpers
+    # flat (arena-backed) helpers
     # ------------------------------------------------------------------
-    def tile_own_bmask(self, tile: Tile) -> int:
-        """``tile.own_blocks()`` as a bitset over arena block ids."""
-        self._tile_memos_current()
-        mask = self._tile_own_bmask.get(tile.tid)
-        if mask is None:
-            block_id = self.arena.block_id
-            mask = 0
-            for label in tile.own_blocks():
-                bid = block_id.get(label)
-                if bid is not None:
-                    mask |= 1 << bid
-            self._tile_own_bmask[tile.tid] = mask
-        return mask
-
     def tile_all_bmask(self, tile: Tile) -> int:
         """``tile.all_blocks`` as a bitset over arena block ids."""
         self._tile_memos_current()
@@ -268,53 +197,6 @@ class FunctionContext:
                     mask |= 1 << bid
             self._tile_all_bmask[tile.tid] = mask
         return mask
-
-    def classify_locals_mask(self, tile: Tile, visible_mask: int) -> int:
-        """Bitset of the members of *visible_mask* that are local to
-        *tile* (the flat twin of :meth:`is_local`): all referencing
-        blocks inside the subtree and not live on the tile boundary."""
-        arena = self.arena
-        all_bmask = self.tile_all_bmask(tile)
-        not_boundary = ~self.boundary_live_mask(tile)
-        out = 0
-        m = visible_mask & not_boundary
-        ref_bmask = arena.var_ref_bmask
-        while m:
-            low = m & -m
-            rb = ref_bmask(low.bit_length() - 1)
-            if rb and not rb & ~all_bmask:
-                out |= low
-            m ^= low
-        return out
-
-    def block_freq_array(self) -> List[float]:
-        """Per-arena-block execution frequency (``block_freq`` by id)."""
-        arr = self._block_freq_arr
-        if arr is None:
-            arr = [self.block_freq(label) for label in self.arena.labels]
-            self._block_freq_arr = arr
-        return arr
-
-    def block_ref_counts_vid(self, bid: int) -> Dict[int, int]:
-        """``Refs_b(v)`` for arena block *bid*, keyed by vid (defs + uses
-        count; clobbers excluded, matching :meth:`block_ref_counts`)."""
-        cached = self._ref_counts_vid.get(bid)
-        if cached is None:
-            arena = self.arena
-            counts: Dict[int, int] = {}
-            get = counts.get
-            ids = arena.index._ids
-            start = arena.block_start
-            for i in range(start[bid], start[bid + 1]):
-                instr = arena.instrs[i]
-                for var in instr.defs:
-                    vid = ids[var]
-                    counts[vid] = get(vid, 0) + 1
-                for var in instr.uses:
-                    vid = ids[var]
-                    counts[vid] = get(vid, 0) + 1
-            self._ref_counts_vid[bid] = cached = counts
-        return cached
 
     # ------------------------------------------------------------------
     # frequencies, resilient to fix-up blocks absent from a profile

@@ -317,84 +317,51 @@ def _add_temp_nodes(
     before any def is written.  Same-kind peers come from *temps_by_uid*
     (maintained by the caller across rounds), never from a graph rescan.
 
-    The arena path walks only blocks whose referenced-variable mask
-    intersects the newly spilled set, and within them only instructions
-    whose use/def bitmasks do, so spill-free regions cost one word AND
-    per block.  The object path (arena retired or absent) walks every
-    instruction like the original implementation.
+    Walks only blocks whose referenced-variable mask intersects the newly
+    spilled set, and within them only instructions whose use/def bitmasks
+    do, so spill-free regions cost one word AND per block.
     """
     added: Set[str] = set()
     if not new_vars:
         return added
     liveness = ctx.liveness
     arena = ctx.arena
-    if arena is not None and (arena.fn is not ctx.fn or arena.retired):
-        arena = None
-
-    if arena is not None:
-        index = liveness.index
-        mask_of_known = index.mask_of_known
-        new_mask = mask_of_known(new_vars)
-        # Graph nodes that are function variables, minus everything
-        # spilled: the register-resident candidates a temp conflicts
-        # with.  Temp/summary/physical nodes have no vid and fall out.
-        reg_mask = mask_of_known(graph.node_ids()) & ~mask_of_known(all_spilled)
-        name_of = index.name_of
-        block_id = arena.block_id
-        block_start = arena.block_start
-        block_ref = arena.block_ref
-        i_uses = arena.i_uses
-        i_defs = arena.i_defs
-        instrs = arena.instrs
-        for label in own_labels:
-            bid = block_id[label]
-            if not block_ref[bid] & new_mask:
-                continue
-            live_in_bits = liveness.instr_live_in_bits(label)
-            live_out_bits = liveness.instr_live_out_bits(label)
-            start = block_start[bid]
-            for idx in range(block_start[bid + 1] - start):
-                i = start + idx
-                if not (i_uses[i] | i_defs[i]) & new_mask:
-                    continue
-                instr = instrs[i]
-                use_temps, def_temps = _instr_temps(instr, new_vars)
-                peers = temps_by_uid.get(instr.uid)
-                _connect_temps(
-                    graph, added, use_temps,
-                    _mask_names(live_in_bits[idx] & reg_mask, name_of),
-                    peers[0] if peers else (),
-                )
-                _connect_temps(
-                    graph, added, def_temps,
-                    _mask_names(live_out_bits[idx] & reg_mask, name_of),
-                    peers[1] if peers else (),
-                )
-                _record_temps(temps_by_uid, instr.uid, use_temps, def_temps)
-        return added
-
-    node_set = set(graph.nodes())
+    index = liveness.index
+    mask_of_known = index.mask_of_known
+    new_mask = mask_of_known(new_vars)
+    # Graph nodes that are function variables, minus everything
+    # spilled: the register-resident candidates a temp conflicts
+    # with.  Temp/summary/physical nodes have no vid and fall out.
+    reg_mask = mask_of_known(graph.node_ids()) & ~mask_of_known(all_spilled)
+    name_of = index.name_of
+    block_id = arena.block_id
+    block_start = arena.block_start
+    block_ref = arena.block_ref
+    i_uses = arena.i_uses
+    i_defs = arena.i_defs
+    instrs = arena.instrs
     for label in own_labels:
-        block = ctx.fn.blocks[label]
-        live_in = liveness.instr_live_in(label)
-        live_out = liveness.instr_live_out(label)
-        for idx, instr in enumerate(block.instrs):
-            use_temps, def_temps = _instr_temps(instr, new_vars)
-            if not use_temps and not def_temps:
+        bid = block_id[label]
+        if not block_ref[bid] & new_mask:
+            continue
+        live_in_bits = liveness.instr_live_in_bits(label)
+        live_out_bits = liveness.instr_live_out_bits(label)
+        start = block_start[bid]
+        for idx in range(block_start[bid + 1] - start):
+            i = start + idx
+            if not (i_uses[i] | i_defs[i]) & new_mask:
                 continue
+            instr = instrs[i]
+            use_temps, def_temps = _instr_temps(instr, new_vars)
             peers = temps_by_uid.get(instr.uid)
-            live_in_regs = {
-                v for v in live_in[idx] if v in node_set and v not in all_spilled
-            }
-            live_out_regs = {
-                v for v in live_out[idx] if v in node_set and v not in all_spilled
-            }
             _connect_temps(
-                graph, added, use_temps, live_in_regs,
+                graph, added, use_temps,
+                _mask_names(live_in_bits[idx] & reg_mask, name_of),
                 peers[0] if peers else (),
             )
             _connect_temps(
-                graph, added, def_temps, live_out_regs,
+                graph, added, def_temps,
+                _mask_names(live_out_bits[idx] & reg_mask, name_of),
                 peers[1] if peers else (),
             )
             _record_temps(temps_by_uid, instr.uid, use_temps, def_temps)

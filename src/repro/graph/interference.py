@@ -12,7 +12,7 @@ the adjacency of a node is a single Python-int bitmask over those ids, so
 edge insertion, degree, and induced subgraphs are word-level operations.
 The string-facing API (``nodes``/``neighbors``/``adjacency``/``edges``) is a
 facade materialized from the masks -- hot callers use the id-level accessors
-(``node_ids``/``id_masks``/``id_names``) or the CSR export instead.  Node
+(``node_ids``/``id_masks``/``id_names``) instead.  Node
 iteration order is insertion order, which construction keeps canonical
 (never hash-salted); removed-then-re-added nodes go to the end, exactly like
 the dict-of-sets representation this replaces.
@@ -25,7 +25,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.liveness import Liveness
 from repro.ir.function import Function
-from repro.ir.instructions import Instr, Opcode
 
 
 class InterferenceGraph:
@@ -252,12 +251,6 @@ class InterferenceGraph:
                 degs[o] -= 1
             mask ^= low
 
-    def merge_from(self, other: "InterferenceGraph") -> None:
-        for var in other.nodes():
-            self.add_node(var)
-        for a, b in other.edges():
-            self.add_edge(a, b)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -466,11 +459,6 @@ class InterferenceGraph:
             self._str_version = self._version
         return self._str_adj
 
-    def copy_adjacency(self) -> Dict[str, Set[str]]:
-        return {
-            var: self._neighbor_names(i) for var, i in self._ids.items()
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<InterferenceGraph |V|={len(self)} |E|={self.edge_count()}>"
 
@@ -502,117 +490,69 @@ def build_interference(
     classic copy exemption, and multiple definitions of one instruction
     conflict with each other.
 
-    The construction runs over the bitsets of ``liveness``, and the
-    resulting vid-space masks *are* the graph: node ids are the liveness
-    ``VarIndex`` vids, so no remapping or string materialization happens
-    at all -- one dict insert per node.
+    The construction runs over the arena behind ``liveness``: its
+    precomputed per-instruction bitsets (``i_ref``, ``i_written``,
+    ``i_exempt``, ``i_written_vids``) -- clobbered registers (calls) count
+    as written, so they conflict with everything live across the
+    instruction.  Raises ``RuntimeError`` if that arena is retired or
+    lowers a different function than *fn*.
     """
+    arena = liveness.arena
+    arena.check_current("build_interference")
+    if arena.fn is not fn:
+        raise RuntimeError(
+            "build_interference: liveness was computed for a different "
+            "function"
+        )
     if labels is None:
         labels = list(fn.blocks)
 
     index = liveness.index
-    intern = index.intern
     relevant_mask: Optional[int] = (
         None if relevant is None else index.mask_of(relevant)
     )
 
     node_mask = 0
     adj: Dict[int, int] = {}
+    adj_get = adj.get
+    block_id = arena.block_id
+    block_start = arena.block_start
+    i_ref = arena.i_ref
+    i_written = arena.i_written
+    i_exempt = arena.i_exempt
+    i_written_vids = arena.i_written_vids
+    for label in labels:
+        bid = block_id[label]
+        if budget is not None:
+            budget.charge(1 + block_start[bid + 1] - block_start[bid], "graph")
+        live_out_per_instr = liveness.instr_live_out_bits(label)
+        start = block_start[bid]
+        for k in range(block_start[bid + 1] - start):
+            i = start + k
+            referenced = i_ref[i]
+            if relevant_mask is not None:
+                referenced &= relevant_mask
+            node_mask |= referenced
 
-    arena = getattr(liveness, "arena", None)
-    if arena is not None and (arena.fn is not fn or arena.retired):
-        arena = None
-
-    if arena is not None:
-        # Flat path: the def-point construction runs entirely over the
-        # arena's precomputed per-instruction bitsets -- no operand-name
-        # interning, no Instr attribute walks.  Same edges, same order.
-        adj_get = adj.get
-        block_id = arena.block_id
-        block_start = arena.block_start
-        i_ref = arena.i_ref
-        i_written = arena.i_written
-        i_exempt = arena.i_exempt
-        i_written_vids = arena.i_written_vids
-        for label in labels:
-            bid = block_id[label]
-            if budget is not None:
-                budget.charge(
-                    1 + block_start[bid + 1] - block_start[bid], "graph"
-                )
-            live_out_per_instr = liveness.instr_live_out_bits(label)
-            start = block_start[bid]
-            for k in range(block_start[bid + 1] - start):
-                i = start + k
-                referenced = i_ref[i]
-                if relevant_mask is not None:
-                    referenced &= relevant_mask
-                node_mask |= referenced
-
-                sibling_mask = i_written[i]
-                if not sibling_mask:
+            sibling_mask = i_written[i]
+            if not sibling_mask:
+                continue
+            targets = live_out_per_instr[k] & ~i_exempt[i]
+            if relevant_mask is not None:
+                targets &= relevant_mask
+                sibling_mask &= relevant_mask
+            for vid in i_written_vids[i]:
+                vbit = 1 << vid
+                if relevant_mask is not None and not (vbit & relevant_mask):
                     continue
-                targets = live_out_per_instr[k] & ~i_exempt[i]
-                if relevant_mask is not None:
-                    targets &= relevant_mask
-                    sibling_mask &= relevant_mask
-                for vid in i_written_vids[i]:
-                    vbit = 1 << vid
-                    if relevant_mask is not None and not (
-                        vbit & relevant_mask
-                    ):
-                        continue
-                    new = (targets | sibling_mask) & ~vbit
-                    if new:
-                        adj[vid] = adj_get(vid, 0) | new
-    else:
-        for label in labels:
-            block = fn.blocks[label]
-            if budget is not None:
-                budget.charge(1 + len(block.instrs), "graph")
-            live_out_per_instr = liveness.instr_live_out_bits(label)
-            for instr, live_after in zip(block.instrs, live_out_per_instr):
-                referenced = 0
-                for var in instr.defs:
-                    referenced |= 1 << intern(var)
-                for var in instr.uses:
-                    referenced |= 1 << intern(var)
-                # Clobbered registers (calls) are written as a side
-                # effect: they conflict with everything live across the
-                # instruction.
-                for var in instr.clobbers:
-                    referenced |= 1 << intern(var)
-                if relevant_mask is not None:
-                    referenced &= relevant_mask
-                node_mask |= referenced
-
-                written = instr.defs + instr.clobbers
-                if not written:
-                    continue
-                exempt_mask = (
-                    1 << intern(instr.uses[0]) if instr.is_copy_like else 0
-                )
-                targets = live_after & ~exempt_mask
-                sibling_mask = 0
-                for var in written:
-                    sibling_mask |= 1 << intern(var)
-                if relevant_mask is not None:
-                    targets &= relevant_mask
-                    sibling_mask &= relevant_mask
-                for var in written:
-                    vid = intern(var)
-                    vbit = 1 << vid
-                    if relevant_mask is not None and not (vbit & relevant_mask):
-                        continue
-                    new = (targets | sibling_mask) & ~vbit
-                    if new:
-                        adj[vid] = adj.get(vid, 0) | new
+                new = (targets | sibling_mask) & ~vbit
+                if new:
+                    adj[vid] = adj_get(vid, 0) | new
 
     # Live-after edges were recorded def-side only; mirror them so the
     # adjacency is symmetric (sibling cliques are already symmetric).  The
     # bit loops are inlined -- this is the hottest mask-decoding site and
     # generator resumption costs more than the loop body.
-    adj_get = adj.get
     for vid in list(adj):
         vbit = 1 << vid
         mask = adj[vid]

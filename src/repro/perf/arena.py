@@ -4,21 +4,23 @@ The cold allocation path used to re-walk ``Instr`` objects (and re-intern
 their operand names) once per analysis: liveness, interference, metrics,
 spill-site discovery and preferencing each traversed the object CFG.  A
 :class:`FunctionArena` lowers the function **once** into flat parallel
-tables -- per-instruction def/use/clobber bitsets over the shared
+tables -- per-instruction def/use/write bitsets over the shared
 :class:`~repro.perf.varindex.VarIndex`, per-block instruction ranges, block
 adjacency in CSR form -- and every later analysis runs over machine words.
 
 Layout (all tables indexed by dense ids, assigned in deterministic
 first-seen order):
 
-* **variables**: interned into ``index`` in exactly the order the classic
-  ``compute_liveness`` interned them (per block in ``fn.blocks`` order, per
-  instruction uses first, then defs), then clobber-only names.  Bitsets
-  over the index are plain Python ints, so width is unbounded.
+* **variables**: interned into ``index`` per block in ``fn.blocks``
+  order, per instruction uses first, then defs; clobber-only names come
+  after all of those.  Vids, and therefore interference node order, are
+  a pure function of the function's text.  Bitsets over the index are
+  plain Python ints, so width is unbounded.
 * **blocks**: ``labels[bid]``/``block_id[label]``; instructions of block
   *bid* occupy the flat range ``block_start[bid]:block_start[bid+1]``.
-* **instructions**: parallel lists ``i_defs``/``i_uses``/``i_clob``
-  (bitsets), ``i_written_vids`` (def+clobber vids in operand order, for
+* **instructions**: parallel bitset lists ``i_defs``/``i_uses``,
+  ``i_written`` (defs and clobbers) and ``i_ref`` (everything referenced),
+  ``i_written_vids`` (def+clobber vids in operand order, for
   def-point interference), ``i_exempt`` (copy-exemption bit) and
   ``instrs`` (the original ``Instr`` objects, for the rare consumers that
   need operand order or immediates).
@@ -26,16 +28,22 @@ first-seen order):
   (``succ_indptr``/``succ_ids`` and the ``pred_*`` twins), as plain
   Python lists.
 
+Every analysis runs over an arena: liveness, interference construction,
+the allocator's tile classification and operand-temporary insertion have
+no second lowering.  The string-set oracle in
+:mod:`repro.analysis.reference` checks them in the tests.
+
 Invalidation: the arena is a snapshot.  It is valid from construction
 until the function is mutated (CFG edits *or* in-place instruction edits);
 the allocator calls :meth:`FunctionArena.retire` before the spill-rewrite
-stage, after which consumers fall back to the object walk.  See DESIGN.md,
-"Arena and CSR layout".
+stage, after which the per-instruction queries (per-instruction liveness,
+interference construction, block digests) raise ``RuntimeError``.  See
+DESIGN.md, "Arena and CSR layout".
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.ir.function import Function
 from repro.perf.varindex import VarIndex
@@ -46,13 +54,13 @@ class FunctionArena:
 
     __slots__ = (
         "fn", "index", "cfg_version", "labels", "block_id",
-        "block_start", "instrs", "i_defs", "i_uses", "i_clob",
+        "block_start", "instrs", "i_defs", "i_uses",
         "i_written", "i_ref", "i_exempt", "i_written_vids",
         "block_use", "block_def", "block_ref",
         "succ_indptr", "succ_ids", "pred_indptr", "pred_ids",
-        "copy_sites", "live_in", "live_out", "budget",
-        "_var_ref_blocks", "_var_def_blocks", "_var_sites", "_retired",
-        "_name_rank", "_var_ref_bmask", "_var_def_bmask", "_block_digests",
+        "live_in", "live_out", "budget",
+        "_var_ref_blocks", "_var_def_blocks", "_retired",
+        "_var_def_bmask", "_block_digests",
     )
 
     def __init__(self, fn: Function, index: VarIndex, budget=None) -> None:
@@ -62,10 +70,8 @@ class FunctionArena:
         self.budget = budget
         self._retired = False
 
-        # ---- pass 1: interning in the classic liveness order ----------
-        # (per block, per instruction: uses first, then defs), so every
-        # vid handed out by the arena matches what compute_liveness would
-        # have assigned.  Clobber-only names are interned afterwards.
+        # ---- pass 1: interning (per block, per instruction: uses first,
+        # then defs).  Clobber-only names are interned afterwards.
         intern = index.intern
         labels: List[str] = []
         block_start: List[int] = [0]
@@ -103,16 +109,14 @@ class FunctionArena:
         self.block_def = block_def
 
         # ---- pass 2: clobbers (interned here, after every use/def), the
-        # derived per-instruction tables, per-block referenced masks and
-        # copy sites -- one walk instead of three.
+        # derived per-instruction tables and per-block referenced masks
+        # -- one walk instead of two.
         n = len(instrs)
-        i_clob = [0] * n
         i_written = [0] * n
         i_ref = [0] * n
         i_exempt = [0] * n
         i_written_vids: List[Tuple[int, ...]] = [()] * n
         block_ref = [0] * len(labels)
-        copy_sites: List[Tuple[int, str, str]] = []
         bid = 0
         ref_mask = 0
         for i, instr in enumerate(instrs):
@@ -125,15 +129,12 @@ class FunctionArena:
             cm = 0
             for v in instr.clobbers:
                 cm |= 1 << intern(v)
-            i_clob[i] = cm
             written = dm | cm
             i_written[i] = written
             i_ref[i] = written | um
             ref_mask |= written | um
             if instr.is_copy_like and instr.uses:
                 i_exempt[i] = 1 << intern(instr.uses[0])
-                if instr.defs:
-                    copy_sites.append((bid, instr.defs[0], instr.uses[0]))
             if written:
                 i_written_vids[i] = tuple(
                     intern(v) for v in instr.defs + instr.clobbers
@@ -142,7 +143,6 @@ class FunctionArena:
             block_ref[bid] = ref_mask
         self.i_defs = i_defs
         self.i_uses = i_uses
-        self.i_clob = i_clob
         self.i_written = i_written
         self.i_ref = i_ref
         self.i_exempt = i_exempt
@@ -170,19 +170,12 @@ class FunctionArena:
         self.pred_indptr = pred_indptr
         self.pred_ids = pred_ids
 
-        # copy sites -- (block id, def name, use name) per COPY/MOVE with
-        # both operands -- were collected during pass 2 above.
-        self.copy_sites = copy_sites
-
         # ---- lazily-filled tables -------------------------------------
         self.live_in: List[int] = []
         self.live_out: List[int] = []
         self._var_ref_blocks: Optional[List[Tuple[int, ...]]] = None
         self._var_def_blocks: Optional[List[Tuple[int, ...]]] = None
-        self._var_ref_bmask: Optional[List[int]] = None
         self._var_def_bmask: Optional[List[int]] = None
-        self._var_sites: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        self._name_rank: Optional[List[int]] = None
         self._block_digests: Optional[List[Optional[str]]] = None
 
     # ------------------------------------------------------------------
@@ -191,22 +184,32 @@ class FunctionArena:
     def retire(self) -> None:
         """Mark the snapshot stale (the function is about to be mutated).
 
-        Consumers holding the arena fall back to walking the live
-        ``Instr`` objects; cheap and explicit, where version-sniffing
-        would miss in-place instruction edits."""
+        Per-instruction queries raise from then on (:meth:`check_current`);
+        cheap and explicit, where version-sniffing would miss in-place
+        instruction edits."""
         self._retired = True
 
     @property
     def retired(self) -> bool:
         return self._retired or getattr(self.fn, "cfg_version", None) != self.cfg_version
 
+    def check_current(self, query: str) -> None:
+        """Raise ``RuntimeError`` if the snapshot is retired: after the
+        spill rewrite has mutated the function, the flat ranges describe
+        dead instructions, and an answer computed from them would pair
+        the new instructions with the old ones' liveness."""
+        if self.retired:
+            raise RuntimeError(
+                f"{query} on a retired arena: the function was "
+                "mutated after this snapshot was taken"
+            )
+
     # ------------------------------------------------------------------
     # per-variable tables
     # ------------------------------------------------------------------
     def _build_var_blocks(self) -> None:
-        # Block-id tuples are ordered by *label* (not block id): the
-        # metrics pass sums floats walking these and the sum order is
-        # part of the determinism contract (see core/metrics.py).
+        # Block-id tuples are ordered by *label* (not block id), an order
+        # that does not depend on how blocks were numbered.
         nvars = len(self.index)
         ref_sets: List[List[int]] = [[] for _ in range(nvars)]
         def_sets: List[List[int]] = [[] for _ in range(nvars)]
@@ -214,7 +217,6 @@ class FunctionArena:
         start = self.block_start
         i_ref = self.i_ref
         i_written = self.i_written
-        i_clob = self.i_clob
         for bid in order:
             ref_mask = 0
             wr_mask = 0
@@ -231,9 +233,6 @@ class FunctionArena:
                 wr_mask ^= low
         self._var_ref_blocks = [tuple(s) for s in ref_sets]
         self._var_def_blocks = [tuple(s) for s in def_sets]
-        self._var_ref_bmask = [
-            _mask_of_ids(s) for s in self._var_ref_blocks
-        ]
         self._var_def_bmask = [
             _mask_of_ids(s) for s in self._var_def_blocks
         ]
@@ -255,14 +254,6 @@ class FunctionArena:
             return ()
         return self._var_def_blocks[vid]
 
-    def var_ref_bmask(self, vid: int) -> int:
-        """Bitset (over block ids) of blocks referencing *vid*."""
-        if self._var_ref_bmask is None:
-            self._build_var_blocks()
-        if vid >= len(self._var_ref_bmask):
-            return 0
-        return self._var_ref_bmask[vid]
-
     def var_def_bmask(self, vid: int) -> int:
         """Bitset (over block ids) of blocks writing *vid*."""
         if self._var_def_bmask is None:
@@ -270,21 +261,6 @@ class FunctionArena:
         if vid >= len(self._var_def_bmask):
             return 0
         return self._var_def_bmask[vid]
-
-    def name_rank(self) -> List[int]:
-        """``rank[vid]`` = position of the vid's name in the sorted list
-        of all interned names.  Lets mask consumers materialize
-        name-sorted output without per-call string sorts.  Built against
-        the current index size; rebuilt if names were interned since."""
-        rank = self._name_rank
-        if rank is None or len(rank) != len(self.index):
-            names = self.index.names()
-            order = sorted(range(len(names)), key=names.__getitem__)
-            rank = [0] * len(names)
-            for pos, vid in enumerate(order):
-                rank[vid] = pos
-            self._name_rank = rank
-        return rank
 
     # ------------------------------------------------------------------
     # liveness
@@ -369,16 +345,10 @@ class FunctionArena:
         with equal digests are interchangeable as phase-1 inputs; the
         per-tile memoization layer folds these into tile fingerprints.
 
-        Raises ``RuntimeError`` on a retired arena: after the spill
-        rewrite has mutated the function, the flat ranges describe dead
-        instructions and a digest computed from them could address a
-        stale cache entry.
+        Raises ``RuntimeError`` on a retired arena: a digest of dead
+        instructions could address a stale cache entry.
         """
-        if self.retired:
-            raise RuntimeError(
-                "block_digest on a retired arena: the function was "
-                "mutated after this snapshot was taken"
-            )
+        self.check_current("block_digest")
         digests = self._block_digests
         if digests is None:
             digests = self._block_digests = [None] * len(self.labels)
@@ -416,14 +386,10 @@ def _mask_of_ids(ids) -> int:
     return out
 
 
-def build_arena(
-    fn: Function, index: Optional[VarIndex] = None, budget=None
-) -> FunctionArena:
-    """Lower *fn* into a fresh arena (interning into *index* if given).
+def build_arena(fn: Function, budget=None) -> FunctionArena:
+    """Lower *fn* into a fresh arena with its own ``VarIndex``.
 
     *budget*, when given, is charged for every instruction lowered and
-    every liveness worklist/sweep step (see :mod:`repro.core.budget`).
+    every liveness worklist step (see :mod:`repro.core.budget`).
     """
-    return FunctionArena(
-        fn, index if index is not None else VarIndex(), budget=budget
-    )
+    return FunctionArena(fn, VarIndex(), budget=budget)

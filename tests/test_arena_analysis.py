@@ -1,13 +1,14 @@
 """Differential tests for the flat-arena analysis core.
 
-The cold path lowers each function once into a :class:`FunctionArena`
+Every analysis lowers the function once into a :class:`FunctionArena`
 (flat instruction/def/use tables over the interned ``VarIndex``, CSR
-block adjacency) and runs liveness as word-level bitset sweeps over it;
-``build_interference`` then consumes the arena's per-instruction tables
-directly (``liveness.arena`` engages the fast path).  The string-set
-oracle in :mod:`repro.analysis.reference` is the seed algorithm,
-preserved verbatim as the differential reference -- every result below
-must match it exactly, not approximately.
+block adjacency) and runs liveness as a word-level bitset worklist over
+it; ``build_interference`` then consumes the arena's per-instruction
+tables directly.  This is the only analysis path (``compute_liveness``
+is ``liveness_from_arena(build_arena(fn))``).  The string-set oracle in
+:mod:`repro.analysis.reference` is the seed algorithm, preserved
+verbatim as the differential reference -- every result below must match
+it exactly, not approximately.
 
 Coverage: hypothesis fuzzing over structured random programs, plus the
 handcrafted edge cases the fuzzer reaches rarely -- irreducible
@@ -15,6 +16,7 @@ handcrafted edge cases the fuzzer reaches rarely -- irreducible
 unreachable from the entry.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -42,14 +44,18 @@ def _assert_liveness_matches(fn):
     ref = reference_liveness(fn)
     assert fast.live_in == ref.live_in
     assert fast.live_out == ref.live_out
+    frozenset_of = fast.index.frozenset_of
     for label in fn.blocks:
-        assert fast.instr_live_out(label) == ref.instr_live_out(label)
-        assert fast.instr_live_in(label) == ref.instr_live_in(label)
+        assert [
+            frozenset_of(bits) for bits in fast.instr_live_out_bits(label)
+        ] == ref.instr_live_out(label)
+        assert [
+            frozenset_of(bits) for bits in fast.instr_live_in_bits(label)
+        ] == ref.instr_live_in(label)
 
 
 def _assert_interference_matches(fn, labels=None, relevant=None):
     liveness = _arena_liveness(fn)
-    assert liveness.arena is not None, "arena fast path not engaged"
     fast = build_interference(fn, liveness, labels=labels, relevant=relevant)
     ref = reference_interference(
         fn, reference_liveness(fn), labels=labels, relevant=relevant
@@ -78,18 +84,6 @@ def _assert_interference_matches(fn, labels=None, relevant=None):
 def test_arena_liveness_equals_oracle(seed):
     """Arena bitset sweeps produce exactly the oracle's frozensets."""
     _assert_liveness_matches(random_program(seed))
-
-
-@given(seed=SEEDS)
-@COMMON
-def test_arena_liveness_equals_nonarena_bitset(seed):
-    """Both bitset paths (arena and per-function dict walk) agree --
-    guards against the two lowerings drifting apart."""
-    fn = random_program(seed)
-    arena_lv = _arena_liveness(fn)
-    plain_lv = compute_liveness(fn)
-    assert arena_lv.live_in == plain_lv.live_in
-    assert arena_lv.live_out == plain_lv.live_out
 
 
 @given(seed=SEEDS)
@@ -217,8 +211,8 @@ def test_restricted_to_empty_blocks_only():
 
 def _shadow_graph(graph):
     """Name-level clone: same nodes and edges, fresh ids.  The object
-    walk in ``_add_temp_nodes`` operates purely on names, so a clone with
-    remapped ids is a valid substrate for the shadow run."""
+    walk operates purely on names, so a clone with remapped ids is a
+    valid substrate for the shadow run."""
     from repro.graph.interference import InterferenceGraph
 
     g = InterferenceGraph()
@@ -235,8 +229,9 @@ def _edge_sets(graph):
 
 def _allocate_with_temp_node_differential(fn, registers):
     """Run the hierarchical allocator with ``_add_temp_nodes`` replaced
-    by a shim that executes BOTH paths -- the arena-indexed one on the
-    real graph, the per-instruction object walk on a shadow clone -- and
+    by a shim that executes BOTH walks -- the arena-indexed one on the
+    real graph, the frozen object walk of ``tests/_temp_nodes_oracle.py``
+    (over the string-set reference liveness) on a shadow clone -- and
     asserts they add the same temps with identical edge sets and leave
     the same per-uid peer index behind.  Returns how many calls actually
     created temps."""
@@ -244,9 +239,11 @@ def _allocate_with_temp_node_differential(fn, registers):
     from repro.core import tilecolor
     from repro.machine.target import Machine
     from repro.pipeline import prepare
+    from tests._temp_nodes_oracle import oracle_add_temp_nodes
 
     real = tilecolor._add_temp_nodes
     productive_calls = [0]
+    oracle_liveness = {}
 
     def differential(ctx, own_labels, graph, new_vars, all_spilled,
                      temps_by_uid):
@@ -254,28 +251,21 @@ def _allocate_with_temp_node_differential(fn, registers):
         shadow_uid = {
             uid: (list(u), list(d)) for uid, (u, d) in temps_by_uid.items()
         }
-        arena = ctx.arena
         added = real(
             ctx, own_labels, graph, new_vars, all_spilled, temps_by_uid
         )
-        if arena is not None and not (
-            arena.fn is not ctx.fn or arena.retired
-        ):
-            # Force the object fallback for the shadow run.
-            ctx.arena = None
-            try:
-                shadow_added = real(
-                    ctx, own_labels, shadow, new_vars, all_spilled,
-                    shadow_uid,
-                )
-            finally:
-                ctx.arena = arena
-            assert shadow_added == added
-            assert sorted(shadow.nodes()) == sorted(graph.nodes())
-            assert _edge_sets(shadow) == _edge_sets(graph)
-            assert shadow_uid == temps_by_uid
-            if added:
-                productive_calls[0] += 1
+        ref = oracle_liveness.get(id(ctx.fn))
+        if ref is None:
+            ref = oracle_liveness[id(ctx.fn)] = reference_liveness(ctx.fn)
+        shadow_added = oracle_add_temp_nodes(
+            ctx, ref, own_labels, shadow, new_vars, all_spilled, shadow_uid,
+        )
+        assert shadow_added == added
+        assert sorted(shadow.nodes()) == sorted(graph.nodes())
+        assert _edge_sets(shadow) == _edge_sets(graph)
+        assert shadow_uid == temps_by_uid
+        if added:
+            productive_calls[0] += 1
         return added
 
     tilecolor._add_temp_nodes = differential
@@ -310,3 +300,36 @@ def test_arena_temp_node_differential_is_exercised():
         )
         productive += calls
     assert productive > 0
+
+
+# ----------------------------------------------------------------------
+# a retired arena answers no per-instruction query
+# ----------------------------------------------------------------------
+
+def test_retired_arena_refuses_per_instruction_queries():
+    """After allocation the spill rewrite has mutated the function and
+    retired its arena: per-instruction liveness (memoized or not) and
+    interference construction must raise rather than pair the rewritten
+    instructions with the pre-rewrite liveness."""
+    from repro.core import HierarchicalAllocator
+    from repro.machine.target import Machine
+    from repro.pipeline import prepare
+
+    allocator = HierarchicalAllocator()
+    allocator.allocate(prepare(random_program(3)), Machine.simple(2))
+    ctx = allocator.last_context
+    assert ctx.arena.retired
+    label = next(iter(ctx.liveness.live_in))
+    with pytest.raises(RuntimeError):
+        ctx.liveness.instr_live_out_bits(label)
+    with pytest.raises(RuntimeError):
+        ctx.liveness.instr_live_in_bits(label)
+    with pytest.raises(RuntimeError):
+        build_interference(ctx.fn, ctx.liveness)
+
+
+def test_build_interference_refuses_liveness_of_another_function():
+    fn = random_program(5)
+    other = fn.clone()
+    with pytest.raises(RuntimeError):
+        build_interference(other, compute_liveness(fn))

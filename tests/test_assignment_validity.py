@@ -64,11 +64,11 @@ def assert_pointwise_distinct(ctx, allocations):
     for tile in ctx.tree.preorder():
         alloc = allocations[tile.tid]
         for label in tile.own_blocks():
-            live_in = ctx.liveness.instr_live_in(label)
-            live_out = ctx.liveness.instr_live_out(label)
+            live_in = ctx.liveness.instr_live_in_bits(label)
+            live_out = ctx.liveness.instr_live_out_bits(label)
             for point in list(live_in) + list(live_out):
                 regs = {}
-                for var in sorted(point):
+                for var in sorted(ctx.liveness.index.frozenset_of(point)):
                     loc = alloc.phys.get(var)
                     if loc is None or loc == MEM:
                         continue

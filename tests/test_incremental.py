@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.liveness import compute_liveness
 from repro.batch.serialize import (
     FORMAT_VERSION,
     record_from_dict,
@@ -28,7 +27,7 @@ from repro.core.incremental import (
 )
 from repro.ir.instructions import Opcode
 from repro.machine.target import Machine
-from repro.perf.arena import FunctionArena
+from repro.perf.arena import build_arena
 from repro.pipeline import prepare
 from repro.workloads.generators import random_program
 from repro.workloads.kernels import sequential_loops
@@ -250,8 +249,7 @@ class TestSpilledTiles:
         """Fingerprints hash the pre-rewrite snapshot; once the rewrite
         retires the arena, serving a digest would hash stale text."""
         fn = prepare(sequential_loops(3))
-        liveness = compute_liveness(fn)
-        arena = FunctionArena(fn, liveness.index)
+        arena = build_arena(fn)
         assert arena.block_digest(0)  # fine while live
         arena.retire()
         with pytest.raises(RuntimeError):

@@ -37,14 +37,6 @@ class TestGraphStructure:
         assert set(sub.nodes()) == {"a", "b"}
         assert sub.edge_count() == 1
 
-    def test_merge_from(self):
-        g1 = InterferenceGraph()
-        g1.add_edge("a", "b")
-        g2 = InterferenceGraph()
-        g2.add_edge("b", "c")
-        g1.merge_from(g2)
-        assert g1.edge_count() == 2
-
     def test_edges_deduplicated(self):
         g = InterferenceGraph()
         g.add_edge("a", "b")

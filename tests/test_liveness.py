@@ -1,6 +1,7 @@
 """Tests for live-variable analysis."""
 
-from repro.analysis.liveness import block_use_def, compute_liveness
+from repro.analysis.liveness import compute_liveness
+from repro.analysis.reference import block_use_def
 from repro.ir.builder import FunctionBuilder
 
 
@@ -42,15 +43,15 @@ class TestLiveness:
 
     def test_instr_live_out_shrinks_backwards(self, loop_fn):
         lv = compute_liveness(loop_fn)
-        outs = lv.instr_live_out("body")
+        outs = lv.instr_live_out_bits("body")
         assert len(outs) == len(loop_fn.blocks["body"].instrs)
         # After the final branch, liveness equals block live-out.
-        assert outs[-1] == lv.live_out["body"]
+        assert lv.index.frozenset_of(outs[-1]) == lv.live_out["body"]
 
     def test_instr_live_in_first_matches_block(self, loop_fn):
         lv = compute_liveness(loop_fn)
-        ins = lv.instr_live_in("body")
-        assert ins[0] == lv.live_in["body"]
+        ins = lv.instr_live_in_bits("body")
+        assert lv.index.frozenset_of(ins[0]) == lv.live_in["body"]
 
     def test_local_dataflow_equation(self, loop_fn):
         """live_in = use U (live_out - def) for every block."""
@@ -74,5 +75,5 @@ class TestLiveness:
 
     def test_live_through_blocks(self, loop_fn):
         lv = compute_liveness(loop_fn)
-        through = lv.live_through_blocks(["body"])
+        through = lv.live_in["body"] | lv.live_out["body"]
         assert {"i", "s", "n", "one"} <= set(through)

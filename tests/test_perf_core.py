@@ -182,31 +182,6 @@ class TestSubgraph:
 
 @given(seed=SEEDS)
 @COMMON
-def test_bitset_liveness_equals_reference(seed):
-    """The bitset dataflow produces exactly the frozensets of the seed's
-    string-set implementation, block- and instruction-level."""
-    fn = random_program(seed)
-    fast = compute_liveness(fn)
-    ref = reference_liveness(fn)
-    assert fast.live_in == ref.live_in
-    assert fast.live_out == ref.live_out
-    for label in fn.blocks:
-        assert fast.instr_live_out(label) == ref.instr_live_out(label)
-        assert fast.instr_live_in(label) == ref.instr_live_in(label)
-
-
-@given(seed=SEEDS)
-@COMMON
-def test_bitset_interference_equals_reference(seed):
-    fn = random_program(seed)
-    fast = build_interference(fn, compute_liveness(fn))
-    ref = reference_interference(fn, reference_liveness(fn))
-    assert sorted(fast.nodes()) == sorted(ref.nodes())
-    assert sorted(fast.edges()) == sorted(ref.edges())
-
-
-@given(seed=SEEDS)
-@COMMON
 def test_bitset_interference_equals_reference_restricted(seed):
     """Equality must also hold for tile-style restricted construction
     (subset of blocks, relevant-variable filter)."""

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from repro.allocators import BriggsAllocator, ChaitinAllocator, LocalAllocator
 from repro.analysis.dominators import compute_dominators
 from repro.analysis.frequency import estimate_frequencies
-from repro.analysis.liveness import block_use_def, compute_liveness
+from repro.analysis.liveness import compute_liveness
+from repro.analysis.reference import block_use_def
 from repro.analysis.renaming import rename_webs
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.graph.coloring import color_graph, verify_coloring
