@@ -35,6 +35,11 @@ from repro.batch.serialize import (
 )
 
 
+#: In-memory LRU entries an :class:`AllocationCache` keeps by default
+#: (the batch engine's capacity; tests inject smaller ones).
+CACHE_CAPACITY = 1024
+
+
 @dataclass
 class CacheStats:
     """Counters one :class:`AllocationCache` accumulates over its life."""
@@ -71,7 +76,7 @@ class AllocationCache:
             the disk layer.
     """
 
-    def __init__(self, capacity: int = 1024,
+    def __init__(self, capacity: int = CACHE_CAPACITY,
                  cache_dir: Optional[str] = None) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")

@@ -9,13 +9,14 @@ One :class:`BatchEngine` owns a persistent ``ProcessPoolExecutor`` and an
    -- the inputs digest keeps records with simulated (input-dependent)
    ``costs``/``returned`` from answering for different inputs;
 2. misses are **deduplicated by cache key** (identical functions *with
-   identical simulator inputs* are computed once) and fanned out over
-   the pool, or computed
-   inline when ``batch_workers == 0``; either way the *canonical
-   printed form* is what gets allocated -- the same text the
-   fingerprint hashes -- so a record is a pure function of its content
-   address (in-memory block order, which canonical text does not
-   capture, can otherwise steer tie-breaks);
+   identical simulator inputs* are computed once) and run through one
+   task loop (:meth:`BatchEngine._run_tasks`) on one of two executors:
+   the process pool, or -- when ``batch_workers == 0`` -- an in-process
+   executor that calls the same :func:`~repro.batch.worker.run_task`.
+   Either way the *canonical printed form* is what gets allocated -- the
+   same text the fingerprint hashes -- so a record is a pure function of
+   its content address (in-memory block order, which canonical text does
+   not capture, can otherwise steer tie-breaks);
 3. results are merged by **submission index**, never completion order,
    and inserted into the cache in submission order -- so the result list,
    the cache's LRU state, and the trace stream are all deterministic
@@ -68,20 +69,18 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.batch.cache import AllocationCache
-from repro.batch.faultinject import active_plan
 from repro.batch.serialize import (
     AllocationRecord,
     UncacheableConfigError,
     cache_key,
     inputs_digest,
     invalidation_key,
-    record_from_dict,
     text_fingerprint,
 )
 from repro.batch.worker import (
@@ -89,9 +88,10 @@ from repro.batch.worker import (
     compute_record,
     run_task,
     worker_init,
+    worker_state,
 )
 from repro.core import HierarchicalConfig
-from repro.core.budget import BudgetExceededError, BudgetLimits, estimate_cost
+from repro.core.budget import BudgetLimits, estimate_cost
 from repro.core.config import BatchConfig
 from repro.errors import (
     PERMANENT,
@@ -286,6 +286,22 @@ def _task_tuple(task: _Task) -> Tuple:
     )
 
 
+class _InlineExecutor:
+    """The ``batch_workers == 0`` executor: ``submit`` runs the task at
+    once, in-process, against the engine's own :func:`worker_state`, and
+    returns an already-completed future.  Such a future never times out
+    and never raises ``BrokenExecutor``, so the pool-recovery branches of
+    :meth:`BatchEngine._run_tasks` never fire inline."""
+
+    def __init__(self, state: Dict[str, object]) -> None:
+        self.state = state
+
+    def submit(self, fn, task: Tuple) -> Future:
+        future: Future = Future()
+        future.set_result(fn(task, self.state))
+        return future
+
+
 class BatchEngine:
     """Process-parallel multi-function allocator with a content-addressed
     cache.  Use as a context manager (the pool is a held resource)::
@@ -307,15 +323,15 @@ class BatchEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = BatchStats()
         self.timers = StageTimers()
-        #: per-allocation resource governor built from the batch knobs;
-        #: ``None`` when both limits are off, preserving the allocator's
-        #: zero-cost unbudgeted fast path.
-        self._budget_limits: Optional[BudgetLimits] = None
+        # Per-allocation resource governor built from the batch knobs;
+        # ``None`` when both limits are off, preserving the allocator's
+        # zero-cost unbudgeted fast path.
+        budget_limits: Optional[BudgetLimits] = None
         if (
             self.batch.max_fuel is not None
             or self.batch.deadline_s is not None
         ):
-            self._budget_limits = BudgetLimits(
+            budget_limits = BudgetLimits(
                 max_fuel=self.batch.max_fuel,
                 deadline_s=self.batch.deadline_s,
             )
@@ -330,7 +346,6 @@ class BatchEngine:
             self.cache: Optional[AllocationCache] = None
         else:
             self.cache = AllocationCache(
-                capacity=self.batch.cache_capacity,
                 cache_dir=(
                     self.batch.cache_dir
                     if self.batch.cache_policy == "disk"
@@ -344,18 +359,28 @@ class BatchEngine:
             # the cache disabled rather than risk stale hits.
             self.cache = None
             self._invalidation = ""
-        #: coordinator-side per-tile memoization store, used by inline
-        #: tasks; pool workers hold their own (see ``worker_init``).
-        #: Disabled alongside the result cache for uncacheable configs:
-        #: tile fingerprints reuse the same invalidation key.
-        self.tile_store = None
-        if self.batch.tile_cache and self._invalidation:
-            from repro.core.incremental import TileCacheStore
-
-            self.tile_store = TileCacheStore(
-                capacity=self.batch.tile_cache_entries
-            )
+        #: what every task allocates under: the arguments of
+        #: :func:`worker_state`, minus ``in_worker``.  The per-tile
+        #: memoization store is disabled alongside the result cache for
+        #: uncacheable configs: tile fingerprints reuse the same
+        #: invalidation key.
+        self._state_args = (
+            self.config,
+            self.machine,
+            self.batch.simulate,
+            bool(self.batch.tile_cache and self._invalidation),
+            self.batch.tile_cache_entries,
+            budget_limits,
+        )
         self._pool: Optional[ProcessPoolExecutor] = None
+        #: inline executor with the coordinator's own state (and tile
+        #: store); the worker-global state of a pool process is never
+        #: written here, so several engines can share one process.
+        self._inline: Optional[_InlineExecutor] = None
+        if self.batch.batch_workers == 0:
+            self._inline = _InlineExecutor(
+                worker_state(*self._state_args, in_worker=False)
+            )
         # Deliberately wall-clock: trace rows subtract it from worker
         # ``start`` stamps, which cross process boundaries.  All *interval*
         # math (durations, BatchStats.wall_s) uses time.monotonic() so a
@@ -386,16 +411,7 @@ class BatchEngine:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.batch.batch_workers,
                 initializer=worker_init,
-                initargs=(
-                    _src_path(),
-                    hash_seed,
-                    self.config,
-                    self.machine,
-                    self.batch.simulate,
-                    self.tile_store is not None,
-                    self.batch.tile_cache_entries,
-                    self._budget_limits,
-                ),
+                initargs=(_src_path(), hash_seed, *self._state_args),
             )
 
     def close(self) -> None:
@@ -431,8 +447,8 @@ class BatchEngine:
         self.teardown_errors.append(task_error_from_exception(exc))
 
     def _merge_tile_counters(self, counters) -> None:
-        """Fold one allocation's per-tile reuse counters (inline result
-        or a pool worker's ``timing["tile_cache"]``) into the stats."""
+        """Fold one task's per-tile reuse counters
+        (``timing["tile_cache"]``) into the stats."""
         if not counters:
             return
         self.stats.tile_hits += int(counters.get("tile_hits", 0))
@@ -616,12 +632,8 @@ class BatchEngine:
                     attempts=0,
                 )
             if run_tasks:
-                if self._pool is None and self.batch.batch_workers > 0:
-                    self.start()
-                if self._pool is not None:
-                    self._run_pooled(run_tasks, computed)
-                else:
-                    self._run_inline(run_tasks, computed)
+                self.start()
+                self._run_tasks(run_tasks, computed)
             self._apply_degradation(tasks, computed)
             if self.batch.on_error == "fail":
                 for task in tasks:
@@ -758,33 +770,37 @@ class BatchEngine:
             attempts=task.attempt + 1,
         )
 
-    def _run_pooled(
+    def _submit(self, tasks: List[_Task]) -> List[Tuple[_Task, Future]]:
+        executor = self._pool if self._pool is not None else self._inline
+        return [
+            (task, executor.submit(run_task, _task_tuple(task)))
+            for task in tasks
+        ]
+
+    def _run_tasks(
         self, tasks: List[_Task], outcomes: Dict[str, _TaskOutcome]
     ) -> None:
-        """Fan tasks out over the pool, surviving worker loss.
+        """Run every miss through :func:`~repro.batch.worker.run_task`
+        on the pool or the inline executor, surviving worker loss.
 
         Futures are collected in submission order (never completion
         order).  A ``BrokenProcessPool`` or per-task timeout marks the
         round for a pool restart; only still-unfinished tasks are
         resubmitted, so the cache/merge semantics downstream see exactly
-        one terminal outcome per key regardless of faults.
+        one terminal outcome per key regardless of faults.  Inline
+        futures are already complete, so neither fires there; inline
+        tasks cannot be preempted and ignore ``task_timeout_s``.
         """
         pending = list(tasks)
         while pending:
             try:
-                submitted = [
-                    (task, self._pool.submit(run_task, _task_tuple(task)))
-                    for task in pending
-                ]
+                submitted = self._submit(pending)
             except BrokenExecutor:
                 # The pool broke between rounds (e.g. an idle worker
                 # died); rebuild it and submit again.  A second failure
                 # propagates: the pool cannot even start.
                 self._restart_pool(resubmitted=len(pending))
-                submitted = [
-                    (task, self._pool.submit(run_task, _task_tuple(task)))
-                    for task in pending
-                ]
+                submitted = self._submit(pending)
             retry_queue: List[_Task] = []
             restart_needed = False
             for task, future in submitted:
@@ -810,93 +826,25 @@ class BatchEngine:
                         outcomes, retry_queue,
                     )
                 else:
-                    if payload.get("ok"):
+                    if payload["ok"]:
                         outcomes[task.key] = _TaskOutcome(
-                            record=record_from_dict(payload["record"]),
+                            record=payload["record"],
                             timing=timing, attempts=task.attempt + 1,
                         )
-                        self.timers.merge(timing.get("stage_times", {}))
+                        self.timers.merge(timing["stage_times"])
                         self._merge_tile_counters(timing.get("tile_cache"))
                     else:
                         self._handle_failure(
                             task,
-                            str(payload.get("error_class", "internal")),
-                            str(payload.get("permanence", PERMANENT)),
-                            str(payload.get("message", "")),
+                            payload["error_class"],
+                            payload["permanence"],
+                            payload["message"],
                             outcomes, retry_queue, timing=timing,
                             budget_detail=payload.get("budget"),
                         )
             if restart_needed:
                 self._restart_pool(resubmitted=len(retry_queue))
             pending = retry_queue
-
-    def _run_inline(
-        self, tasks: List[_Task], outcomes: Dict[str, _TaskOutcome]
-    ) -> None:
-        """Compute misses in-process with the same retry semantics as the
-        pooled path (timeouts cannot preempt an inline task and are
-        ignored; injected kill/hang faults downgrade to transient
-        raises -- see :mod:`repro.batch.faultinject`)."""
-        plan = active_plan()
-        for task in tasks:
-            while True:
-                start = time.time()  # wall: trace timestamp only
-                start_mono = time.monotonic()
-                try:
-                    plan.maybe_fail_task(
-                        task.index, task.attempt, in_worker=False
-                    )
-                    # Allocate the canonical (parsed-back) form, exactly
-                    # as pool workers do: a record must be a pure
-                    # function of the content address, and block *dict
-                    # order* -- which canonical text does not capture --
-                    # can otherwise steer tie-breaks.
-                    record, stage_times, tile_cache = compute_record(
-                        task.name, parse_function(task.text), self.config,
-                        self.machine,
-                        args=task.workload.args,
-                        arrays=task.workload.arrays,
-                        simulate=self.batch.simulate,
-                        fingerprint=task.fingerprint,
-                        tile_store=self.tile_store,
-                        budget_limits=self._budget_limits,
-                    )
-                except Exception as exc:
-                    error_class, permanence = classify_exception(exc)
-                    detail = None
-                    if isinstance(exc, BudgetExceededError):
-                        detail = {
-                            "resource": exc.resource,
-                            "spent": exc.spent,
-                            "limit": exc.limit,
-                        }
-                    retry_queue: List[_Task] = []
-                    self._handle_failure(
-                        task, error_class, permanence, str(exc),
-                        outcomes, retry_queue,
-                        timing={
-                            "start": start,
-                            "duration": time.monotonic() - start_mono,
-                            "pid": os.getpid(),
-                        },
-                        budget_detail=detail,
-                    )
-                    if retry_queue:
-                        continue
-                    break
-                else:
-                    outcomes[task.key] = _TaskOutcome(
-                        record=record,
-                        timing={
-                            "start": start,
-                            "duration": time.monotonic() - start_mono,
-                            "pid": os.getpid(),
-                        },
-                        attempts=task.attempt + 1,
-                    )
-                    self.timers.merge(stage_times)
-                    self._merge_tile_counters(tile_cache)
-                    break
 
     def _apply_degradation(
         self, tasks: List[_Task], outcomes: Dict[str, _TaskOutcome]

@@ -30,10 +30,13 @@ per process):
     scribble over the record after the atomic rename, simulating on-disk
     corruption (the cache must quarantine it, not crash).
 
-``kill`` and ``hang`` only make sense inside a pool worker; on the
-inline (``batch_workers == 0``) path both downgrade to a *transient*
-:class:`InjectedFault` so retry handling is still exercised without
-killing or blocking the coordinator.
+Task faults fire in :func:`repro.batch.worker.run_task`, which runs
+every cache miss on either executor.  ``kill`` and ``hang`` only make
+sense inside a pool worker; when the task's state says it runs inline
+(``state["in_worker"]`` is false, i.e. ``batch_workers == 0``) both
+downgrade to a *transient* :class:`InjectedFault`, which the engine's
+one task loop retries like any transient failure -- without killing or
+blocking the coordinator.
 
 Everything here is a pure function of the plan text and the
 deterministic (task, attempt) / write-ordinal coordinates, so an

@@ -1,29 +1,36 @@
-"""Process-pool worker for the batch engine.
+"""Task execution for the batch engine, pooled or inline.
 
-Everything here is top-level and picklable.  A worker is initialized once
-per process with the allocator/machine configuration
+Everything here is top-level and picklable.  A pool worker is initialized
+once per process with the allocator/machine configuration
 (:func:`worker_init`), then receives
 ``(index, name, fingerprint, text, args, arrays, attempt)`` tasks and
-returns ``(index, payload_dict, timing_dict)`` -- the function travels as
-its canonical IR text (lossless round-trip through
+returns ``(index, payload, timing)`` -- the function travels as its
+canonical IR text (lossless round-trip through
 ``format_function``/``parse_function``), never as a pickled object graph,
-so the wire format is as stable as the cache format.
+so the wire format is as stable as the cache format.  The engine's
+inline executor (``batch_workers == 0``) calls the same
+:func:`run_task` in-process against a state built by the same
+:func:`worker_state`, so there is one task path, not two.
 
-Failures travel the same way: a worker never lets an exception escape
-``run_task``.  Exceptions would have to be *pickled* back across the
-process boundary -- which silently breaks for exception types with
-non-trivial constructors (``NoColorForRequiredNode`` takes a ``node``
-argument) -- so the payload is either ``{"ok": True, "record": ...}`` or
-``{"ok": False, "error_class": ..., "permanence": ..., "message": ...}``
-with the classification done where the exception type is still known
-(:func:`repro.errors.classify_exception`).
+A success payload is ``{"ok": True, "record": AllocationRecord}``: the
+record object itself, which the pool pickles and the inline path hands
+over untouched (the dict form of :mod:`repro.batch.serialize` is the
+disk cache's format, not the task wire format).  Failures travel as
+plain data: a worker never lets an exception escape :func:`run_task`.
+Exceptions would have to be *pickled* back across the process boundary
+-- which silently breaks for exception types with non-trivial
+constructors (``NoColorForRequiredNode`` takes a ``node`` argument) --
+so a failure payload is ``{"ok": False, "error_class": ...,
+"permanence": ..., "message": ...}`` (plus ``"budget"`` for budget
+failures) with the classification done where the exception type is
+still known (:func:`repro.errors.classify_exception`).
 
 :func:`compute_record` is the single implementation of "allocate one
-function and condense the result into an :class:`AllocationRecord`"; the
-engine calls it inline when running without a pool and for
-degradation-ladder fallbacks (``allocator="chaitin"`` / ``"naive"``), so
-pooled, inline and cached results are constructed identically
-(bit-identical, per the determinism gate).
+function and condense the result into an :class:`AllocationRecord`";
+:func:`run_task` calls it for every cache miss and the engine calls it
+directly for degradation-ladder fallbacks (``allocator="chaitin"`` /
+``"naive"``), so pooled, inline and cached results are constructed
+identically (bit-identical, per the determinism gate).
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from repro.batch.serialize import (
     AllocationRecord,
     function_fingerprint,
     normalize_returned,
-    record_to_dict,
 )
 from repro.core import HierarchicalAllocator, HierarchicalConfig
 from repro.core.summary import is_summary_var, is_temp_node
@@ -118,11 +124,10 @@ def compute_record(
 
     costs: Optional[Dict[str, int]] = None
     returned: Optional[int] = None
+    alloc = _make_allocator(allocator, config, tile_store, budget_limits)
     if run_simulation:
         result = compile_function(
-            Workload(fn, args, arrays, name=name),
-            _make_allocator(allocator, config, tile_store, budget_limits),
-            machine,
+            Workload(fn, args, arrays, name=name), alloc, machine
         )
         outcome = result.outcome
         costs = {
@@ -132,19 +137,14 @@ def compute_record(
             "program_refs": result.allocated_run.program_memory_refs,
         }
         returned = normalize_returned(result.allocated_run.returned)
-        allocations = outcome.stats.extra.get("allocations")
-        ctx = outcome.stats.extra.get("context")
     else:
         from repro.ir.validate import validate_function
         from repro.machine.rewrite import remove_self_moves
 
         prepared = prepare(fn)
-        alloc = _make_allocator(allocator, config, tile_store, budget_limits)
         outcome = alloc.allocate(prepared, machine)
         remove_self_moves(outcome.fn)
         validate_function(outcome.fn, allow_unreachable=True)
-        allocations = getattr(alloc, "last_allocations", None)
-        ctx = getattr(alloc, "last_context", None)
 
     text = format_function(outcome.fn)
     stage_times = dict(outcome.stats.extra.get("stage_times", {}))
@@ -157,7 +157,10 @@ def compute_record(
         allocated_sha256=hashlib.sha256(text.encode()).hexdigest(),
         allocated_text=text,
         spilled=tuple(sorted(outcome.stats.spilled_vars)),
-        bindings=_final_bindings(ctx, allocations),
+        bindings=_final_bindings(
+            getattr(alloc, "last_context", None),
+            getattr(alloc, "last_allocations", None),
+        ),
         static_costs={
             "spill_loads": outcome.stats.static_spill_loads,
             "spill_stores": outcome.stats.static_spill_stores,
@@ -194,9 +197,43 @@ def _final_bindings(ctx, allocations) -> Tuple[Tuple[str, str], ...]:
 
 
 # ----------------------------------------------------------------------
-# pool plumbing
+# task plumbing
 # ----------------------------------------------------------------------
 _WORKER_STATE: Dict[str, Any] = {}
+
+
+def worker_state(
+    config: HierarchicalConfig,
+    machine: Machine,
+    simulate: bool,
+    tile_cache: bool,
+    tile_cache_entries: int,
+    budget_limits,
+    in_worker: bool,
+) -> Dict[str, Any]:
+    """The configuration :func:`run_task` allocates under.
+
+    Built once per process -- by :func:`worker_init` in a pool worker,
+    by the engine for its inline executor -- and reused across tasks.
+    With *tile_cache* set, the state owns a process-local
+    :class:`~repro.core.incremental.TileCacheStore` that persists across
+    tasks: re-submissions of edited functions hit it as long as they land
+    in the same process.  *in_worker* tells the fault-injection hook
+    whether ``kill``/``hang`` may act literally.
+    """
+    tile_store = None
+    if tile_cache:
+        from repro.core.incremental import TileCacheStore
+
+        tile_store = TileCacheStore(capacity=tile_cache_entries)
+    return {
+        "config": config,
+        "machine": machine,
+        "simulate": simulate,
+        "tile_store": tile_store,
+        "budget_limits": budget_limits,
+        "in_worker": in_worker,
+    }
 
 
 def worker_init(
@@ -211,33 +248,23 @@ def worker_init(
 ) -> None:
     """Per-process initializer: make ``import repro`` work regardless of
     start method, pin ``PYTHONHASHSEED`` for any grandchildren, and stash
-    the shared configuration once instead of per task.  With *tile_cache*
-    set, the worker owns a process-local
-    :class:`~repro.core.incremental.TileCacheStore` that persists across
-    tasks -- re-submissions of edited functions hit it as long as they
-    land on the same worker."""
+    the shared :func:`worker_state` once instead of per task."""
     if src_path and src_path not in sys.path:
         sys.path.insert(0, src_path)
     if hash_seed is not None:
         os.environ["PYTHONHASHSEED"] = hash_seed
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["machine"] = machine
-    _WORKER_STATE["simulate"] = simulate
-    _WORKER_STATE["budget_limits"] = budget_limits
-    if tile_cache:
-        from repro.core.incremental import TileCacheStore
-
-        _WORKER_STATE["tile_store"] = TileCacheStore(
-            capacity=tile_cache_entries
-        )
-    else:
-        _WORKER_STATE["tile_store"] = None
+    _WORKER_STATE.update(worker_state(
+        config, machine, simulate, tile_cache, tile_cache_entries,
+        budget_limits, in_worker=True,
+    ))
 
 
 def run_task(
     task: Tuple[int, str, str, str, Dict[str, Any], Dict[str, list], int],
+    state: Mapping[str, Any] = _WORKER_STATE,
 ) -> Tuple[int, Dict[str, object], Dict[str, object]]:
-    """Allocate one function in a pool process.
+    """Allocate one function under *state* (a :func:`worker_state`; the
+    pool worker's own by default).
 
     *task* is ``(index, name, fingerprint, text, args, arrays, attempt)``;
     the return value is ``(index, payload, timing)`` where ``payload`` is
@@ -245,15 +272,20 @@ def run_task(
     ``timing`` carries a wall-clock ``start`` (``time.time()``, shared
     across processes on one machine -- trace rows offset it against the
     engine's epoch), a monotonic ``duration`` (interval math must not be
-    skewed by clock steps), the worker ``pid``, and the allocator's
+    skewed by clock steps), the process ``pid``, and the allocator's
     per-stage times for aggregation.
 
     Exceptions are caught and classified here -- never raised across the
     pool boundary (see module docstring).  The fault-injection hook runs
     first so an injected ``kill``/``hang`` behaves like the real worker
-    loss it simulates.
+    loss it simulates (inline, both downgrade to a transient raise).
+    The function allocated is the canonical text parsed back: a record
+    must be a pure function of its content address, and in-memory block
+    order -- which canonical text does not capture -- can otherwise
+    steer tie-breaks.
     """
     from repro.batch.faultinject import active_plan
+    from repro.core.budget import BudgetExceededError
     from repro.errors import classify_exception
 
     index, name, fingerprint, text, args, arrays, attempt = task
@@ -262,24 +294,22 @@ def run_task(
     stage_times: Dict[str, float] = {}
     tile_cache: Optional[Dict[str, int]] = None
     try:
-        active_plan().maybe_fail_task(index, attempt, in_worker=True)
-        fn = parse_function(text)
+        active_plan().maybe_fail_task(
+            index, attempt, in_worker=state["in_worker"]
+        )
         record, stage_times, tile_cache = compute_record(
             name,
-            fn,
-            _WORKER_STATE["config"],
-            _WORKER_STATE["machine"],
+            parse_function(text),
+            state["config"],
+            state["machine"],
             args=args,
             arrays=arrays,
-            simulate=_WORKER_STATE["simulate"],
+            simulate=state["simulate"],
             fingerprint=fingerprint,
-            tile_store=_WORKER_STATE.get("tile_store"),
-            budget_limits=_WORKER_STATE.get("budget_limits"),
+            tile_store=state["tile_store"],
+            budget_limits=state["budget_limits"],
         )
-        payload: Dict[str, object] = {
-            "ok": True,
-            "record": record_to_dict(record),
-        }
+        payload: Dict[str, object] = {"ok": True, "record": record}
     except Exception as exc:
         error_class, permanence = classify_exception(exc)
         payload = {
@@ -290,8 +320,6 @@ def run_task(
         }
         # Budget failures carry their accounting across the process
         # boundary as plain data (exceptions are never pickled back).
-        from repro.core.budget import BudgetExceededError
-
         if isinstance(exc, BudgetExceededError):
             payload["budget"] = {
                 "resource": exc.resource,

@@ -272,19 +272,78 @@ def cmd_trace(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def cmd_batch(args: argparse.Namespace, out) -> int:
-    from repro.batch import BatchConfig, BatchEngine, load_module_dir
-    from repro.errors import BatchFunctionError
-
-    workloads = load_module_dir(
-        args.dir, args=_parse_kv(args.arg), arrays=_parse_arrays(args.array)
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """The batch-engine flags ``batch`` and ``serve`` share (read back
+    by :func:`_batch_config`).  Each command adds its own tile-cache
+    toggle, because the default differs: off for ``batch``, on for
+    ``serve``."""
+    parser.add_argument(
+        "--workers", type=int, default=0, metavar="N",
+        help="worker processes for cache misses (0 = allocate in-process)",
     )
-    for file_error in workloads.errors:
-        print(f"LOAD FAILED {file_error.describe()}", file=out)
+    parser.add_argument(
+        "--cache", metavar="DIR", default=None,
+        help="persistent cache directory (implies --policy disk)",
+    )
+    parser.add_argument(
+        "--policy", choices=["memory", "disk", "off"], default="memory",
+        help="cache policy (default: in-memory LRU; 'disk' needs --cache)",
+    )
+    parser.add_argument("--registers", type=int, default=8)
+    parser.add_argument(
+        "--no-simulate", action="store_true",
+        help="static allocation only: skip the simulator even when inputs "
+        "are given, and leave them out of the cache key",
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=2, metavar="N",
+        help="bounded retries per task for transient failures "
+        "(crashed/hung workers; default: 2)",
+    )
+    parser.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help="per-task wall-clock budget for pooled tasks; a stuck task "
+        "fails transiently and the pool is restarted (default: none)",
+    )
+    parser.add_argument(
+        "--on-error", choices=["fail", "skip", "degrade"],
+        default="degrade",
+        help="final-failure policy: 'degrade' (default) retries with the "
+        "chaitin then naive fallback allocators, 'skip' records a "
+        "structured failure, 'fail' aborts a batch run (the service "
+        "answers with per-function failures instead)",
+    )
+    parser.add_argument(
+        "--tile-cache-entries", type=int, default=4096, metavar="N",
+        help="LRU capacity of each per-process tile store (default: 4096)",
+    )
+    parser.add_argument(
+        "--max-fuel", type=int, default=None, metavar="N",
+        help="deterministic fuel budget per hierarchical allocation; "
+        "exhausted functions degrade through the fallback ladder "
+        "(default: unlimited)",
+    )
+    parser.add_argument(
+        "--deadline", type=float, default=None, metavar="SECONDS",
+        help="wall-clock backstop per hierarchical allocation; a blown "
+        "deadline is transient and retried (default: none)",
+    )
+    parser.add_argument(
+        "--admission-limit", type=int, default=None, metavar="COST",
+        help="reject functions whose estimated cost (blocks + instrs * "
+        "(1 + vars)) exceeds COST before allocating: batch sends them "
+        "straight to the fallback ladder, the service answers 413 "
+        "(default: admit everything)",
+    )
+
+
+def _batch_config(args: argparse.Namespace):
+    from repro.batch import BatchConfig
+
     policy = args.policy
     if args.cache and policy == "memory":
         policy = "disk"
-    batch = BatchConfig(
+    return BatchConfig(
         batch_workers=args.workers,
         cache_dir=args.cache,
         cache_policy=policy,
@@ -299,6 +358,18 @@ def cmd_batch(args: argparse.Namespace, out) -> int:
         deadline_s=args.deadline,
         admission_limit=args.admission_limit,
     )
+
+
+def cmd_batch(args: argparse.Namespace, out) -> int:
+    from repro.batch import BatchEngine, load_module_dir
+    from repro.errors import BatchFunctionError
+
+    workloads = load_module_dir(
+        args.dir, args=_parse_kv(args.arg), arrays=_parse_arrays(args.array)
+    )
+    for file_error in workloads.errors:
+        print(f"LOAD FAILED {file_error.describe()}", file=out)
+    batch = _batch_config(args)
 
     sinks: List[object] = []
     if args.jsonl:
@@ -393,27 +464,8 @@ def cmd_batch(args: argparse.Namespace, out) -> int:
 
 
 def cmd_serve(args: argparse.Namespace, out) -> int:
-    from repro.batch import BatchConfig
     from repro.service import ServiceConfig, run_service
 
-    policy = args.policy
-    if args.cache and policy == "memory":
-        policy = "disk"
-    batch = BatchConfig(
-        batch_workers=args.workers,
-        cache_dir=args.cache,
-        cache_policy=policy,
-        registers=args.registers,
-        simulate=not args.no_simulate,
-        max_retries=args.max_retries,
-        task_timeout_s=args.task_timeout,
-        on_error=args.on_error,
-        tile_cache=not args.no_tile_cache,
-        tile_cache_entries=args.tile_cache_entries,
-        max_fuel=args.max_fuel,
-        deadline_s=args.deadline,
-        admission_limit=args.admission_limit,
-    )
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -421,7 +473,7 @@ def cmd_serve(args: argparse.Namespace, out) -> int:
         max_batch=args.max_batch,
         max_functions=args.max_functions,
         drain_timeout_s=args.drain_timeout,
-        batch=batch,
+        batch=_batch_config(args),
     )
     tracer = AllocationTracer([JSONLSink(args.jsonl)]) if args.jsonl else None
     try:
@@ -523,19 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(process pool + content-addressed allocation cache)",
     )
     batch_p.add_argument("dir", help="directory of .ir / .ml files")
-    batch_p.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="worker processes for cache misses (0 = allocate in-process)",
-    )
-    batch_p.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="persistent cache directory (implies --policy disk)",
-    )
-    batch_p.add_argument(
-        "--policy", choices=["memory", "disk", "off"], default="memory",
-        help="cache policy (default: in-memory LRU; 'disk' needs --cache)",
-    )
-    batch_p.add_argument("--registers", type=int, default=8)
+    _add_engine_args(batch_p)
     batch_p.add_argument(
         "--arg", action="append", default=[], metavar="NAME=INT",
         help="scalar argument attached to every function (repeatable)",
@@ -545,53 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="array input attached to every function (repeatable)",
     )
     batch_p.add_argument(
-        "--no-simulate", action="store_true",
-        help="skip the simulator even when inputs are given "
-        "(static allocation only)",
-    )
-    batch_p.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="bounded retries per task for transient failures "
-        "(crashed/hung workers; default: 2)",
-    )
-    batch_p.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock budget for pooled tasks; a stuck task "
-        "fails transiently and the pool is restarted (default: none)",
-    )
-    batch_p.add_argument(
-        "--on-error", choices=["fail", "skip", "degrade"],
-        default="degrade",
-        help="final-failure policy: 'degrade' (default) retries with the "
-        "chaitin then naive fallback allocators, 'skip' records a "
-        "structured failure, 'fail' aborts the run",
-    )
-    batch_p.add_argument(
         "--tile-cache", action="store_true",
         help="attach per-process tile memoization stores: re-submissions "
         "of edited functions reuse clean subtrees and recompute only "
         "dirty tiles (bit-identical output)",
-    )
-    batch_p.add_argument(
-        "--tile-cache-entries", type=int, default=4096, metavar="N",
-        help="LRU capacity of each per-process tile store (default: 4096)",
-    )
-    batch_p.add_argument(
-        "--max-fuel", type=int, default=None, metavar="N",
-        help="deterministic fuel budget per hierarchical allocation; "
-        "exhausted functions degrade through the fallback ladder "
-        "(default: unlimited)",
-    )
-    batch_p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock backstop per hierarchical allocation; a blown "
-        "deadline is transient and retried (default: none)",
-    )
-    batch_p.add_argument(
-        "--admission-limit", type=int, default=None, metavar="COST",
-        help="reject functions whose estimated cost (blocks + instrs * "
-        "(1 + vars)) exceeds COST before allocating; rejected functions "
-        "go straight to the fallback ladder (default: admit everything)",
     )
     batch_p.add_argument(
         "--stats", action="store_true",
@@ -626,25 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8421,
         help="TCP port (0 picks a free ephemeral port; default: 8421)",
     )
-    serve_p.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="engine worker processes for cache misses "
-        "(0 = allocate in-process)",
-    )
-    serve_p.add_argument(
-        "--cache", metavar="DIR", default=None,
-        help="persistent cache directory (implies --policy disk)",
-    )
-    serve_p.add_argument(
-        "--policy", choices=["memory", "disk", "off"], default="memory",
-        help="cache policy (default: in-memory LRU; 'disk' needs --cache)",
-    )
-    serve_p.add_argument("--registers", type=int, default=8)
-    serve_p.add_argument(
-        "--no-simulate", action="store_true",
-        help="static allocation only: skip the simulator, ignore "
-        "submitted args/arrays for cache keying",
-    )
+    _add_engine_args(serve_p)
     serve_p.add_argument(
         "--queue-limit", type=int, default=1024, metavar="N",
         help="max pending allocations before /allocate answers 429 "
@@ -665,44 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 30)",
     )
     serve_p.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="bounded retries per task for transient failures (default: 2)",
-    )
-    serve_p.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task wall-clock budget for pooled tasks (default: none)",
-    )
-    serve_p.add_argument(
-        "--on-error", choices=["fail", "skip", "degrade"],
-        default="degrade",
-        help="engine final-failure policy (default: degrade through the "
-        "chaitin/naive fallback ladder); 'fail' is translated to "
-        "per-function failure results, never a dead service",
-    )
-    serve_p.add_argument(
-        "--no-tile-cache", action="store_true",
+        "--no-tile-cache", dest="tile_cache", action="store_false",
         help="disable the per-process tile memoization stores (on by "
         "default for the service: edit-resubmit round-trips reuse "
         "clean subtrees across requests)",
-    )
-    serve_p.add_argument(
-        "--tile-cache-entries", type=int, default=4096, metavar="N",
-        help="LRU capacity of each per-process tile store (default: 4096)",
-    )
-    serve_p.add_argument(
-        "--max-fuel", type=int, default=None, metavar="N",
-        help="deterministic fuel budget per hierarchical allocation "
-        "(default: unlimited)",
-    )
-    serve_p.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="wall-clock backstop per hierarchical allocation "
-        "(default: none)",
-    )
-    serve_p.add_argument(
-        "--admission-limit", type=int, default=None, metavar="COST",
-        help="answer 413 for requests containing functions whose "
-        "estimated cost exceeds COST (default: admit everything)",
     )
     serve_p.add_argument(
         "--jsonl", metavar="PATH",

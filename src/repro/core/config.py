@@ -84,10 +84,10 @@ class BatchConfig:
             pool only pays off across many functions.
         cache_dir: directory for the persistent content-addressed store.
             Required for ``cache_policy="disk"``.
-        cache_policy: ``"memory"`` (in-memory LRU, the default), ``"disk"``
-            (LRU in front of an on-disk store under *cache_dir*), or
-            ``"off"`` (every function is recomputed).
-        cache_capacity: maximum in-memory LRU entries before eviction.
+        cache_policy: ``"memory"`` (in-memory LRU of
+            :data:`repro.batch.cache.CACHE_CAPACITY` entries, the
+            default), ``"disk"`` (LRU in front of an on-disk store under
+            *cache_dir*), or ``"off"`` (every function is recomputed).
         registers: machine size functions are allocated for (the machine is
             part of the invalidation key).
         simulate: run the allocated program on the workload's inputs and
@@ -149,7 +149,6 @@ class BatchConfig:
     batch_workers: int = 0
     cache_dir: Optional[str] = None
     cache_policy: str = "memory"
-    cache_capacity: int = 1024
     registers: int = 8
     simulate: bool = True
     max_retries: int = 2
@@ -172,10 +171,6 @@ class BatchConfig:
         if self.batch_workers < 0:
             raise ValueError(
                 f"batch_workers must be >= 0, got {self.batch_workers}"
-            )
-        if self.cache_capacity < 1:
-            raise ValueError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
             )
         if self.registers < 1:
             raise ValueError(

@@ -36,8 +36,6 @@ class FunctionContext:
     arena: FunctionArena = field(repr=False)
     #: var -> labels of blocks referencing it (defs or uses)
     ref_blocks: Dict[str, Set[str]] = field(default_factory=dict)
-    #: var -> labels of blocks defining it
-    def_blocks: Dict[str, Set[str]] = field(default_factory=dict)
     #: label of inserted fix-up block -> the original edge it subdivides
     orig_edge: Dict[str, Tuple[str, str]] = field(default_factory=dict)
     #: structured-event recorder threaded through both phases; the shared
@@ -68,8 +66,8 @@ class FunctionContext:
         self._build_ref_blocks()
 
     def _build_ref_blocks(self) -> None:
-        """Materialize the name-keyed ref/def block dicts from the
-        arena's per-variable tables (the pre-rewrite function, clobbers
+        """Materialize the name-keyed ref-block dict from the arena's
+        per-variable tables (the pre-rewrite function, clobbers
         included)."""
         arena = self.arena
         name_of = arena.index.name_of
@@ -78,9 +76,6 @@ class FunctionContext:
             refs = arena.var_ref_blocks(vid)
             if refs:
                 self.ref_blocks[name_of(vid)] = {labels[b] for b in refs}
-            defs = arena.var_def_blocks(vid)
-            if defs:
-                self.def_blocks[name_of(vid)] = {labels[b] for b in defs}
 
     # ------------------------------------------------------------------
     # per-tile variable classification (paper section 3)

@@ -59,7 +59,7 @@ class FunctionArena:
         "block_use", "block_def", "block_ref",
         "succ_indptr", "succ_ids", "pred_indptr", "pred_ids",
         "live_in", "live_out", "budget",
-        "_var_ref_blocks", "_var_def_blocks", "_retired",
+        "_var_ref_blocks", "_retired",
         "_var_def_bmask", "_block_digests",
     )
 
@@ -174,7 +174,6 @@ class FunctionArena:
         self.live_in: List[int] = []
         self.live_out: List[int] = []
         self._var_ref_blocks: Optional[List[Tuple[int, ...]]] = None
-        self._var_def_blocks: Optional[List[Tuple[int, ...]]] = None
         self._var_def_bmask: Optional[List[int]] = None
         self._block_digests: Optional[List[Optional[str]]] = None
 
@@ -212,7 +211,7 @@ class FunctionArena:
         # that does not depend on how blocks were numbered.
         nvars = len(self.index)
         ref_sets: List[List[int]] = [[] for _ in range(nvars)]
-        def_sets: List[List[int]] = [[] for _ in range(nvars)]
+        def_masks: List[int] = [0] * nvars
         order = sorted(range(len(self.labels)), key=self.labels.__getitem__)
         start = self.block_start
         i_ref = self.i_ref
@@ -227,15 +226,13 @@ class FunctionArena:
                 low = ref_mask & -ref_mask
                 ref_sets[low.bit_length() - 1].append(bid)
                 ref_mask ^= low
+            bit = 1 << bid
             while wr_mask:
                 low = wr_mask & -wr_mask
-                def_sets[low.bit_length() - 1].append(bid)
+                def_masks[low.bit_length() - 1] |= bit
                 wr_mask ^= low
         self._var_ref_blocks = [tuple(s) for s in ref_sets]
-        self._var_def_blocks = [tuple(s) for s in def_sets]
-        self._var_def_bmask = [
-            _mask_of_ids(s) for s in self._var_def_blocks
-        ]
+        self._var_def_bmask = def_masks
 
     def var_ref_blocks(self, vid: int) -> Tuple[int, ...]:
         """Block ids referencing *vid* (defs, uses or clobbers), ordered
@@ -246,16 +243,9 @@ class FunctionArena:
             return ()
         return self._var_ref_blocks[vid]
 
-    def var_def_blocks(self, vid: int) -> Tuple[int, ...]:
-        """Block ids writing *vid* (defs or clobbers), ordered by label."""
-        if self._var_def_blocks is None:
-            self._build_var_blocks()
-        if vid >= len(self._var_def_blocks):
-            return ()
-        return self._var_def_blocks[vid]
-
     def var_def_bmask(self, vid: int) -> int:
-        """Bitset (over block ids) of blocks writing *vid*."""
+        """Bitset (over block ids) of blocks writing *vid* (defs or
+        clobbers)."""
         if self._var_def_bmask is None:
             self._build_var_blocks()
         if vid >= len(self._var_def_bmask):
@@ -377,13 +367,6 @@ class FunctionArena:
             f"<FunctionArena {self.fn.name}: {len(self.labels)} blocks, "
             f"{len(self.instrs)} instrs, {len(self.index)} vars>"
         )
-
-
-def _mask_of_ids(ids) -> int:
-    out = 0
-    for i in ids:
-        out |= 1 << i
-    return out
 
 
 def build_arena(fn: Function, budget=None) -> FunctionArena:

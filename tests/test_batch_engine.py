@@ -16,6 +16,7 @@ from repro.batch import (
     load_module_dir,
     synthetic_module,
 )
+from repro.batch.faultinject import ENV_VAR
 from repro.cli import main as cli_main
 from repro.core import HierarchicalAllocator
 from repro.ir.printer import format_function
@@ -52,14 +53,46 @@ class TestEngineBasics:
         assert all(r.cached and r.worker == "cache" for r in warm)
         assert [r.record for r in cold] == [r.record for r in warm]
 
-    def test_pooled_equals_inline(self):
+    @pytest.mark.parametrize("fault", [
+        None,
+        {"task": 1, "action": "raise", "kind": "transient"},
+        {"task": 0, "action": "raise", "kind": "permanent"},
+    ], ids=["no-fault", "transient", "permanent"])
+    def test_pooled_equals_inline(self, fault, monkeypatch):
+        # Both executors run the same task loop, so a fault plan must
+        # land identically on each: same records, same retry counts,
+        # same degradation.
+        if fault is None:
+            monkeypatch.delenv(ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(ENV_VAR, json.dumps([fault]))
         module = small_module()
-        with BatchEngine(batch=BatchConfig()) as inline_engine:
-            inline = inline_engine.allocate_module(module)
-        with BatchEngine(batch=BatchConfig(batch_workers=2)) as pooled_engine:
-            pooled = pooled_engine.allocate_module(module)
-        assert [r.record for r in inline] == [r.record for r in pooled]
-        assert all(r.worker.startswith("worker-") for r in pooled)
+
+        def run(workers):
+            batch = BatchConfig(batch_workers=workers, retry_backoff_s=0)
+            with BatchEngine(batch=batch) as engine:
+                return engine.allocate_module(module)
+
+        def outcome(result):
+            return (
+                result.record, result.attempts, result.degraded,
+                result.fallback_allocator,
+                result.error.error_class if result.error else None,
+            )
+
+        inline, pooled = run(0), run(2)
+        assert [outcome(r) for r in inline] == [outcome(r) for r in pooled]
+        # Degradation-ladder rungs run in the coordinator on both.
+        assert all(
+            r.worker.startswith("worker-") for r in pooled if not r.degraded
+        )
+        if fault is not None:
+            # The plan fired: the parity above is not vacuous.
+            hit = inline[fault["task"]]
+            if fault["kind"] == "transient":
+                assert hit.attempts == 2 and hit.error is None
+            else:
+                assert hit.degraded and hit.error.error_class == "injected"
 
     def test_duplicate_functions_computed_once(self):
         base = dot()

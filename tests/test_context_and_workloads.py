@@ -7,6 +7,7 @@ from repro.core.config import HierarchicalConfig
 from repro.core.info import build_context
 from repro.machine.simulator import simulate
 from repro.machine.target import Machine
+from repro.perf.varindex import iter_bits
 from repro.tiles.construction import build_tile_tree_detailed
 from repro.workloads.callsites import make_callee, make_caller
 from repro.workloads.figure1 import figure1
@@ -30,8 +31,14 @@ class TestFunctionContext:
         ctx = ctx_for(figure1())
         assert "B2" in ctx.ref_blocks["g1"]
         assert "B4" in ctx.ref_blocks["g1"]
-        assert "B2" in ctx.def_blocks["g1"]
-        assert "B4" not in ctx.def_blocks["t1"]
+        arena = ctx.arena
+
+        def def_blocks(var):
+            mask = arena.var_def_bmask(arena.index.id_of(var))
+            return {arena.labels[b] for b in iter_bits(mask)}
+
+        assert "B2" in def_blocks("g1")
+        assert "B4" not in def_blocks("t1")
 
     def test_is_local_matches_paper_definition(self):
         ctx = ctx_for(figure1())

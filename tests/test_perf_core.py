@@ -1,12 +1,11 @@
 """Tests for the performance core (repro.perf) and its consumers.
 
 Covers the interning layer and bitset helpers, the stage timers, the
-CFG-query caches and their invalidation, equality of the bitset analyses
-with the preserved string-set reference implementations on random
-structured programs, independence of sibling subtrees (any sibling visit
-order gives the same allocation), determinism across processes with
-different ``PYTHONHASHSEED`` values, and the duplicated-CBR-arm
-spill-placement regression.
+CFG-query caches and their invalidation, independence of sibling
+subtrees (any sibling visit order gives the same allocation), determinism
+across processes with different ``PYTHONHASHSEED`` values, and the
+duplicated-CBR-arm spill-placement regression.  The bitset analyses are
+checked against the string-set oracle in ``tests/test_arena_analysis.py``.
 """
 
 import hashlib
@@ -20,10 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.liveness import compute_liveness
-from repro.analysis.reference import reference_interference, reference_liveness
 from repro.core import HierarchicalAllocator, HierarchicalConfig
-from repro.graph.interference import InterferenceGraph, build_interference
+from repro.graph.interference import InterferenceGraph
 from repro.ir.builder import FunctionBuilder
 from repro.ir.printer import format_function
 from repro.machine.simulator import simulate
@@ -178,25 +175,6 @@ class TestSubgraph:
         sub = g.subgraph({"a", "b"})
         sub.remove_node("a")
         assert g.interferes("a", "b")
-
-
-@given(seed=SEEDS)
-@COMMON
-def test_bitset_interference_equals_reference_restricted(seed):
-    """Equality must also hold for tile-style restricted construction
-    (subset of blocks, relevant-variable filter)."""
-    fn = random_program(seed)
-    labels = sorted(fn.blocks)[: max(1, len(fn.blocks) // 2)]
-    fast_lv = compute_liveness(fn)
-    ref_lv = reference_liveness(fn)
-    relevant = set()
-    for label in labels:
-        relevant |= fn.blocks[label].variables()
-    relevant = set(sorted(relevant)[: max(1, len(relevant) // 2)])
-    fast = build_interference(fn, fast_lv, labels=labels, relevant=relevant)
-    ref = reference_interference(fn, ref_lv, labels=labels, relevant=relevant)
-    assert sorted(fast.nodes()) == sorted(ref.nodes())
-    assert sorted(fast.edges()) == sorted(ref.edges())
 
 
 def _shuffled_postorder(tile, rng):
